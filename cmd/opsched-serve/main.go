@@ -36,8 +36,8 @@
 //	POST /drain     close the stream and drain gracefully
 //	GET  /metrics   the scheduler's metrics registry in Prometheus text
 //	                exposition format: engine counters (admissions, waves,
-//	                preemptions, SLO attainment, wave-memo hit rate, shard
-//	                queues), pipeline stage latencies and backpressure
+//	                preemptions, SLO attainment, wave-memo hit rate) and
+//	                queue gauges, pipeline stage latencies and backpressure
 //	                gauges, and the serve process's own gauges
 //	GET  /healthz   liveness: 200 "ok" while serving, "draining" once the
 //	                stream is closing
@@ -46,6 +46,11 @@
 //	GET  /debug/pprof/  net/http/pprof profiling handlers (CPU profile,
 //	                heap, mutex, goroutine, execution trace) for live
 //	                inspection of a running service
+//
+// The HTTP server bounds what a slow or stalled client can hold: a
+// request header must arrive within readHeaderTimeout and the whole
+// request within readTimeout, and an idle keep-alive connection closes
+// after idleTimeout.
 //
 // Logging goes to stderr through log/slog; -log-level selects the floor
 // (debug, info, warn, error).
@@ -80,6 +85,14 @@ import (
 	"opsched"
 )
 
+// HTTP server timeouts (see the package doc). Fixed, not flags: they only
+// cut off clients that stall, never a well-behaved one.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		slog.Error("fatal", "err", err)
@@ -96,6 +109,19 @@ func setupLogging(levelName string) error {
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
 	return nil
+}
+
+// newHTTPServer builds the service's HTTP server on addr, with the given
+// request-header timeout (run passes readHeaderTimeout) and the package's
+// read and idle timeouts.
+func newHTTPServer(addr string, h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // run is the whole service behind main: parse flags, assemble the
@@ -115,7 +141,6 @@ func run(args []string, stdin *os.File, stdout io.Writer) error {
 	policy := fs.String("policy", "", "placement policy (default spread)")
 	arbiter := fs.String("arbiter", "", "per-node cross-job arbiter (default fair)")
 	preempt := fs.String("preempt", "", `preemption trigger spec ("all", "priority+deadline", ...; empty = off)`)
-	workers := fs.Int("workers", 0, "engine-internal worker count: 0 = auto (GOMAXPROCS), 1 = fully serial; reports are byte-identical at any count")
 	snapEvery := fs.Int("snap-every", 10, "print a live snapshot to stderr every N completions (0 disables)")
 	buffer := fs.Int("buffer", 0, "inter-stage channel depth (0 = default)")
 	tick := fs.Duration("tick", 500*time.Millisecond, "virtual-clock tick interval in -http mode (retires work between submissions)")
@@ -136,7 +161,7 @@ func run(args []string, stdin *os.File, stdout io.Writer) error {
 	reg := opsched.NewMetricsRegistry()
 	cfg := opsched.PipelineConfig{
 		Cluster: opsched.Cluster{Nodes: *nodes, GPUs: *gpus},
-		Options: opsched.PlaceOptions{Policy: *policy, Arbiter: *arbiter, Preempt: *preempt, Workers: *workers,
+		Options: opsched.PlaceOptions{Policy: *policy, Arbiter: *arbiter, Preempt: *preempt,
 			Obs: &opsched.Observer{Metrics: reg}},
 		Buffer: *buffer,
 	}
@@ -167,7 +192,7 @@ func run(args []string, stdin *os.File, stdout io.Writer) error {
 
 	var httpSrv *http.Server
 	if *httpAddr != "" {
-		httpSrv = &http.Server{Addr: *httpAddr, Handler: srv.mux()}
+		httpSrv = newHTTPServer(*httpAddr, srv.mux(), readHeaderTimeout)
 		go func() {
 			slog.Info("listening", "addr", *httpAddr)
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -424,5 +425,55 @@ func TestSetupLogging(t *testing.T) {
 	}
 	if err := setupLogging("chatty"); err == nil {
 		t.Error("bogus level accepted")
+	}
+}
+
+// TestSlowHeaderClientDisconnected: a client that sends half a request
+// header and stalls is cut off once the server's header timeout passes,
+// without ever reaching a handler.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	const headerTimeout = 100 * time.Millisecond
+	reached := make(chan struct{}, 1)
+	h := http.HandlerFunc(func(http.ResponseWriter, *http.Request) { reached <- struct{}{} })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(ln.Addr().String(), h, headerTimeout)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		if err := <-served; err != http.ErrServerClosed {
+			t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: opsched\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// Our own deadline is a backstop far past the server's timeout: the
+	// read must end because the server hung up, not because we gave up.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server kept a half-sent header open for %v", elapsed)
+	}
+	if elapsed < headerTimeout {
+		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, headerTimeout)
+	}
+	select {
+	case <-reached:
+		t.Fatal("a half-sent request reached the handler")
+	default:
 	}
 }

@@ -168,8 +168,8 @@ func (p *Pipeline) execution(in <-chan stageMsg, grants chan<- grantMsg, picks <
 				p.fail(err)
 				return
 			}
-			// Refresh the engine's sampled gauges (wave-memo counters,
-			// shard queues) so a live scrape between ticks sees them.
+			// Refresh the engine's sampled wave-memo counters so a live
+			// scrape between ticks sees them.
 			eng.ObsSample()
 			if p.po != nil {
 				p.po.ticks.Inc()

@@ -146,9 +146,8 @@ type memoVariant struct {
 }
 
 // memoShardCount spreads the cache across independently locked shards so
-// the serial retirement path and a fleet of speculative workers missing on
-// different signatures never serialize on one lock. Power of two so the
-// hash folds with a mask.
+// concurrent callers missing on different signatures never serialize on
+// one lock. Power of two so the hash folds with a mask.
 const memoShardCount = 32
 
 // memoShard is one lock's worth of the cache, keyed by canonical signature.
@@ -160,9 +159,8 @@ type memoShard struct {
 // waveMemo is the fleet-wide RunWave cache one runtime carries. It is safe
 // for concurrent use: lookups and stores shard their locking by signature
 // hash, and simulations are single-flight per ordered fingerprint — when
-// the engine's worker pool and its serial retirement path miss on the same
-// gang concurrently, exactly one simulation runs and everyone else blocks
-// on its result. Cached *WaveResult values are shared across waves and must
+// several callers miss on the same gang concurrently, exactly one
+// simulation runs and everyone else blocks on its result. Cached *WaveResult values are shared across waves and must
 // be treated as immutable by every caller.
 type waveMemo struct {
 	shards [memoShardCount]memoShard
@@ -182,8 +180,7 @@ func (m *waveMemo) shard(sig string) *memoShard {
 // the first caller per fingerprint runs sim (a miss), concurrent and later
 // callers wait on — and share — its result (hits). A failed simulation is
 // not cached: its error propagates to every waiter and the next caller
-// retries, so a speculative worker can never poison the cache for the
-// serial path.
+// retries, so one failed simulation can never poison the cache.
 func (m *waveMemo) do(sig, fp string, sim func() (*WaveResult, error)) (*WaveResult, error) {
 	sh := m.shard(sig)
 	sh.mu.Lock()

@@ -1,9 +1,12 @@
 package place
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"opsched/internal/core"
@@ -184,5 +187,80 @@ func TestWaveMemoHitEquivalence(t *testing.T) {
 		if fh != 0 || fm != 0 {
 			t.Errorf("%s memo-free runtime reports hits=%d misses=%d, want zeros", pair.name, fh, fm)
 		}
+	}
+}
+
+// TestWaveMemoSingleFlight: under heavy concurrent misses — many goroutines
+// hammering the same and distinct fingerprints — exactly one simulation
+// runs per distinct fingerprint, everyone shares the same result pointer,
+// and the counters add up. Run with -race this is the cache's stress gate.
+func TestWaveMemoSingleFlight(t *testing.T) {
+	m := &waveMemo{}
+	const (
+		goroutines = 32
+		sigs       = 8
+		variants   = 2 // orderings per canonical signature
+	)
+	var sims atomic.Int64
+	start := make(chan struct{})
+	results := make([][]*WaveResult, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g] = make([]*WaveResult, sigs*variants)
+			<-start
+			for s := 0; s < sigs; s++ {
+				for v := 0; v < variants; v++ {
+					sig := fmt.Sprintf("gpu::sig%d", s)
+					fp := fmt.Sprintf("gpu::sig%d/ord%d", s, v)
+					res, err := m.do(sig, fp, func() (*WaveResult, error) {
+						sims.Add(1)
+						return &WaveResult{TotalNs: float64(s*10 + v)}, nil
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[g][s*variants+v] = res
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if got, want := sims.Load(), int64(sigs*variants); got != want {
+		t.Fatalf("single-flight broke: %d simulations for %d distinct fingerprints", got, want)
+	}
+	for g := 1; g < goroutines; g++ {
+		for i, res := range results[g] {
+			if res != results[0][i] {
+				t.Fatalf("goroutine %d fingerprint %d got a different result pointer", g, i)
+			}
+		}
+	}
+	hits, misses := m.stats()
+	if misses != sigs*variants || hits+misses != goroutines*sigs*variants {
+		t.Fatalf("counters: hits=%d misses=%d, want misses=%d and hits+misses=%d",
+			hits, misses, sigs*variants, goroutines*sigs*variants)
+	}
+}
+
+// TestWaveMemoErrorNotCached: a failed simulation propagates to its waiters
+// but is never published — the next caller re-simulates and can succeed.
+func TestWaveMemoErrorNotCached(t *testing.T) {
+	m := &waveMemo{}
+	boom := fmt.Errorf("transient")
+	if _, err := m.do("cpu::x", "cpu::x", func() (*WaveResult, error) { return nil, boom }); err != boom {
+		t.Fatalf("want the simulation error, got %v", err)
+	}
+	res, err := m.do("cpu::x", "cpu::x", func() (*WaveResult, error) { return &WaveResult{TotalNs: 1}, nil })
+	if err != nil || res.TotalNs != 1 {
+		t.Fatalf("retry after failure: res=%v err=%v", res, err)
+	}
+	hits, misses := m.stats()
+	if hits != 0 || misses != 2 {
+		t.Fatalf("counters after failure+retry: hits=%d misses=%d, want 0/2", hits, misses)
 	}
 }

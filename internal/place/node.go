@@ -130,8 +130,8 @@ type NodeRuntime interface {
 }
 
 // workCache is a concurrent read-mostly map from model key to a cached
-// per-model prediction: lock-free copy-on-write reads (the placement hot
-// path and the speculative wave workers), a mutex only on the rare insert.
+// per-model prediction: lock-free copy-on-write reads on the placement hot
+// path, a mutex only on the rare insert.
 // The model-key universe is tiny — the four workloads plus a handful of
 // dynamic-batch inference keys — so cloning on insert costs nothing.
 type workCache[V any] struct {
@@ -224,7 +224,7 @@ func (c *cpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 
 // simulate prices one wave fresh through the multi-job co-scheduling
 // engine. It reads only the runtime's concurrent caches and per-call
-// state, so the memo may run it from any worker goroutine.
+// state, so the memo may run it from any goroutine.
 func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 	mj := make([]multijob.Job, len(jobs))
 	for i, wj := range jobs {
@@ -301,7 +301,7 @@ func (g *gpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 
 // simulate prices one wave fresh through the occupancy/stream co-run
 // model. Like the CPU side it touches only concurrent caches, so the memo
-// may run it from any worker goroutine.
+// may run it from any goroutine.
 func (g *gpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 	works := make([]gpu.GraphWork, len(jobs))
 	for i, wj := range jobs {
