@@ -1,8 +1,10 @@
 // Command opsched-serve runs the placement engine as a long-lived
-// scheduling service: a streaming admission→placement→execution→metrics
-// pipeline fed by a CSV job trace (a file or stdin) and/or ad-hoc HTTP
-// submissions, publishing live queue/JCT percentiles while jobs are in
-// flight and sealing the full placement report on graceful drain.
+// scheduling service: a streaming three-stage pipeline fed by a CSV job
+// trace (a file or stdin) and/or ad-hoc HTTP submissions. Admission
+// validates and clamps each job; execution places it through the engine's
+// indexed pick and runs the node waves on the virtual clock; metrics
+// publishes live queue/JCT percentiles while jobs are in flight. On
+// graceful drain the full placement report is sealed.
 //
 // Usage:
 //

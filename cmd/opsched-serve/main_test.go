@@ -449,12 +449,15 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 		}
 	}()
 
+	// The server's header deadline can start as soon as it accepts, which
+	// may be before Dial returns here: start the clock before dialling so
+	// the lower bound below never undercounts the server's wait.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: opsched\r\n")); err != nil {
 		t.Fatal(err)
 	}

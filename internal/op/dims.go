@@ -13,7 +13,7 @@ package op
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // DTypeBytes is the element width of every tensor in the catalog. The
@@ -75,20 +75,18 @@ func (d Dims) Equal(o Dims) bool {
 
 // String renders the shape the way the paper prints input sizes:
 // "(32,8,8,384)".
-func (d Dims) String() string {
-	if len(d) == 0 {
-		return "()"
-	}
-	var b strings.Builder
-	b.WriteByte('(')
+func (d Dims) String() string { return string(d.appendTo(make([]byte, 0, 24))) }
+
+// appendTo appends the String form to b.
+func (d Dims) appendTo(b []byte) []byte {
+	b = append(b, '(')
 	for i, v := range d {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
 var errEmptyShape = errors.New("op: empty shape")

@@ -2,6 +2,7 @@ package op
 
 import (
 	"fmt"
+	"strconv"
 
 	"opsched/internal/hw"
 )
@@ -205,9 +206,10 @@ func (o *Op) Cost() hw.OpCost {
 	if !ok {
 		kp = params[Reshape]
 	}
-	u1 := shapeHashUnit(o.Signature(), 1)
-	u2 := shapeHashUnit(o.Signature(), 2)
-	u3 := shapeHashUnit(o.Signature(), 3)
+	sig := o.Signature()
+	u1 := shapeHashUnit(sig, 1)
+	u2 := shapeHashUnit(sig, 2)
+	u3 := shapeHashUnit(sig, 3)
 	bytes := o.TensorBytes()
 	return hw.OpCost{
 		WorkNs:          kp.nsPerFlop * (0.90 + 0.20*u1) * o.FLOPs(),
@@ -236,17 +238,19 @@ func shapeHashUnit(sig string, salt uint64) float64 {
 // Signature identifies the (kind, shapes) class of the instance. Instances
 // with equal signatures share performance profiles in the runtime.
 func (o *Op) Signature() string {
-	s := string(o.Kind) + o.Input.String()
+	b := make([]byte, 0, 64)
+	b = append(b, o.Kind...)
+	b = o.Input.appendTo(b)
 	if len(o.Filter) > 0 {
-		s += o.Filter.String()
+		b = o.Filter.appendTo(b)
 	}
 	if o.Stride > 1 {
-		s += fmt.Sprintf("/s%d", o.Stride)
+		b = strconv.AppendInt(append(b, "/s"...), int64(o.Stride), 10)
 	}
 	if o.NumInputs > 2 {
-		s += fmt.Sprintf("/n%d", o.NumInputs)
+		b = strconv.AppendInt(append(b, "/n"...), int64(o.NumInputs), 10)
 	}
-	return s
+	return string(b)
 }
 
 // String implements fmt.Stringer.

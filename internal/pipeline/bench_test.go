@@ -58,7 +58,7 @@ func BenchmarkBatchEngine(b *testing.B) {
 }
 
 // BenchmarkPipelineBatch drives the identical workload through the
-// four-stage streaming pipeline; the delta over BenchmarkBatchEngine is
+// three-stage streaming pipeline; the delta over BenchmarkBatchEngine is
 // the channel hand-off cost of stage separation.
 func BenchmarkPipelineBatch(b *testing.B) {
 	w := benchWorkload(b, 64)

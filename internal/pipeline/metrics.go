@@ -95,14 +95,19 @@ const (
 // latencyDist is one bounded latency distribution (queue or JCT).
 type latencyDist struct {
 	n     int
-	exact []float64 // nil once folded into hist
+	exact []float64 // ascending; nil once folded into hist
 	hist  []uint64  // nil in the exact regime
 }
 
 func (d *latencyDist) add(v float64) {
 	d.n++
 	if d.hist == nil {
-		d.exact = append(d.exact, v)
+		// Insert in order: a snapshot then reads its ranks directly
+		// instead of sorting a copy of up to exactSampleCap samples.
+		i := sort.SearchFloat64s(d.exact, v)
+		d.exact = append(d.exact, 0)
+		copy(d.exact[i+1:], d.exact[i:])
+		d.exact[i] = v
 		if len(d.exact) <= exactSampleCap {
 			return
 		}
@@ -146,9 +151,7 @@ func histRepr(i int) float64 {
 // histogram fold.
 func (d *latencyDist) quantile3(a, b, c float64) (float64, float64, float64) {
 	if d.hist == nil {
-		s := append([]float64(nil), d.exact...)
-		sort.Float64s(s)
-		return nearestRank(s, a), nearestRank(s, b), nearestRank(s, c)
+		return nearestRank(d.exact, a), nearestRank(d.exact, b), nearestRank(d.exact, c)
 	}
 	return d.histRank(a), d.histRank(b), d.histRank(c)
 }
@@ -264,10 +267,11 @@ func (m *liveMetrics) noteCompleted(j place.PlacedJob) int {
 	return m.completed
 }
 
-// Snapshot computes the current reading. In the exact regime it sorts
-// copies of the latency samples, so the cost is O(n log n) in completions —
-// fine at snapshot cadence; past the histogram fold it is O(1); the hot
-// per-completion path stays O(1) amortized either way.
+// Snapshot computes the current reading. In the exact regime the samples
+// are kept sorted as they arrive, so a reading costs O(1); past the
+// histogram fold it is O(buckets). A completion costs one ordered insert
+// (a binary search and a move of at most exactSampleCap samples) before
+// the fold and O(1) after it.
 func (m *liveMetrics) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()

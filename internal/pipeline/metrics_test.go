@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -161,5 +162,37 @@ func TestLiveMetricsPerClass(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "inf[done=5 slo=2/4") {
 		t.Errorf("serving clause missing or wrong: %s", s)
+	}
+}
+
+// TestLiveQuantilesMatchFreshSort: after every completion, from the first
+// to past the histogram fold, the snapshot's queue p50/p95/p99 equal the
+// nearest-rank quantiles over a freshly sorted copy of every sample so far
+// — exactly up to exactSampleCap samples, within the documented half-bucket
+// bound after the fold. Samples repeat, so duplicates are covered.
+func TestLiveQuantilesMatchFreshSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := newLiveMetrics()
+	var all []float64
+	bound := math.Pow(10, 1/(2*float64(histBucketsPerDecade))) - 1
+	for n := 1; n <= exactSampleCap+16; n++ {
+		q := float64(rng.Intn(2000)) * 1e3 // 0 included, many duplicates
+		all = append(all, q)
+		m.noteCompleted(place.PlacedJob{ArrivalNs: 0, StartNs: q, FinishNs: q + 1e6, QueueNs: q})
+		s := m.Snapshot()
+		sorted := append([]float64(nil), all...)
+		sort.Float64s(sorted)
+		for _, c := range []struct {
+			p   float64
+			got float64
+		}{{0.50, s.QueueP50Ns}, {0.95, s.QueueP95Ns}, {0.99, s.QueueP99Ns}} {
+			want := nearestRank(sorted, c.p)
+			if n <= exactSampleCap && c.got != want {
+				t.Fatalf("n=%d p%.0f: snapshot %v, fresh sort %v", n, 100*c.p, c.got, want)
+			}
+			if n > exactSampleCap && math.Abs(c.got-want) > bound*want+1e-9 {
+				t.Fatalf("n=%d p%.0f: histogram %v, fresh sort %v, past the %.4f bound", n, 100*c.p, c.got, want, bound)
+			}
+		}
 	}
 }

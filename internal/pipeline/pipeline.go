@@ -1,27 +1,30 @@
 // Package pipeline restructures the cluster placement engine into an open,
-// channel-fed stream of four stages — admission (validation, sequence
-// tagging, arrival clamping), placement (policy pick against live node
-// views), execution (lockstep rounds and preemption triggers, owning the
-// virtual clock), and metrics (incremental queue/JCT percentiles published
-// while jobs are still in flight) — the staged-pipeline idiom of Octopus's
-// block pipeline (graph_builder → scheduler → executor with an END-flag
+// channel-fed stream of three stages — admission (validation, sequence
+// tagging, arrival clamping), execution (the placement pick, lockstep
+// rounds and preemption triggers, owning the engine and its virtual
+// clock), and metrics (incremental queue/JCT percentiles published while
+// jobs are still in flight) — the staged-pipeline idiom of Octopus's block
+// pipeline (graph_builder → scheduler → executor with an END-flag
 // shutdown) applied to the trace-driven serving shape of the multi-tenant
 // DNN scheduling literature.
 //
 // Every stage is one goroutine joined to its neighbours by a channel; an
 // explicit END flag travels the whole chain ahead of each channel close, so
 // shutdown is ordered and every in-flight job drains before the result is
-// sealed. Context cancellation unwinds all four stages without leaking a
+// sealed. Context cancellation unwinds all three stages without leaking a
 // goroutine.
 //
-// The stages drive the same open place.Engine the batch API wraps, and the
-// placement stage runs the identical deterministic policy, so feeding a
-// closed workload through the pipeline (RunBatch) renders byte-identically
-// to place.PlaceJobs — the CI-gated equivalence that lets the simulator
-// and the service share one engine. On top of the open stream, Replay
-// drives a trace Source (for example a streaming tracefile.Reader) through
-// the pipeline at native or time-compressed arrival rates without ever
-// materializing the full job slice.
+// Placement is not a stage of its own: a pick reads the engine's state at
+// the job's virtual arrival and the next event depends on it, so the
+// execution stage asks the engine's own indexed pick (Engine.PlaceAuto)
+// rather than handing node views to another goroutine and waiting. The
+// stages drive the same open place.Engine the batch API wraps, so feeding
+// a closed workload through the pipeline (RunBatch) renders
+// byte-identically to place.PlaceJobs — the CI-gated equivalence that lets
+// the simulator and the service share one engine. On top of the open
+// stream, Replay drives a trace Source (for example a streaming
+// tracefile.Reader) through the pipeline at native or time-compressed
+// arrival rates without ever materializing the full job slice.
 package pipeline
 
 import (
@@ -43,32 +46,14 @@ const (
 	flagEnd
 )
 
-// stageMsg is the message type of the admission→placement and
-// placement→execution channels.
+// stageMsg is the message type of the submit→admission and
+// admission→execution channels.
 type stageMsg struct {
 	flag   stageFlag
 	seq    int           // submission sequence (flagJob)
 	spec   place.JobSpec // canonicalized spec (flagJob)
 	err    error         // rejection cause (flagReject)
 	tickNs float64       // virtual-time horizon (flagTick)
-}
-
-// grantMsg is execution's reply to a pending placement request: the job's
-// canonical spec and the live node views at its virtual arrival instant.
-// The views slice is the pipeline's recycled grantBuf: placement reads it
-// only inside Policy.Pick (policies are pure and never retain views), so
-// the steady state reuses one fleet-sized snapshot buffer instead of
-// allocating one per job.
-type grantMsg struct {
-	ji    int
-	nowNs float64
-	spec  place.JobSpec
-	views []place.NodeView
-}
-
-// pickMsg carries the placement stage's decision back to execution.
-type pickMsg struct {
-	node int
 }
 
 // evKind tags execution→metrics events.
@@ -113,13 +98,12 @@ func (c Config) buffer() int {
 	return c.Buffer
 }
 
-// Pipeline is one running admission→placement→execution→metrics chain.
+// Pipeline is one running admission→execution→metrics chain.
 // Submit jobs (and optionally Ticks) from any goroutine, Close to send the
 // END flag, Wait for the sealed result; Snapshot reads live metrics at any
 // point in between.
 type Pipeline struct {
 	cfg Config
-	pol place.Policy
 	eng *place.Engine
 
 	ctx    context.Context
@@ -136,12 +120,6 @@ type Pipeline struct {
 	// place.NewEngine from the same Observer.
 	po *pipeObs
 
-	// grantBuf is the recycled node-view snapshot the grant/pick handshake
-	// carries. The handshake is strictly serialized — execution blocks on
-	// the pick before issuing the next grant — so one buffer suffices, and
-	// the two channel sends order every reuse (no data race, no pool).
-	grantBuf []place.NodeView
-
 	res  *place.Result
 	err  error
 	once sync.Once
@@ -153,13 +131,12 @@ type Pipeline struct {
 // Stage indices of the done-channel barrier, in pipeline order.
 const (
 	stageAdmission = iota
-	stagePlacement
 	stageExecution
 	stageMetrics
 	numStages
 )
 
-// New assembles the four stages over a fresh engine and starts them. The
+// New assembles the three stages over a fresh engine and starts them. The
 // pipeline runs until Close drains it or ctx is cancelled; every
 // constructor error (invalid cluster, unknown policy/arbiter/trigger)
 // surfaces here, before any goroutine starts.
@@ -168,16 +145,12 @@ func New(ctx context.Context, cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol, err := place.NewPolicy(cfg.Options.PolicyName())
-	if err != nil {
-		return nil, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	p := &Pipeline{
-		cfg: cfg, pol: pol, eng: eng,
+		cfg: cfg, eng: eng,
 		ctx: cctx, cancel: cancel,
 		in:   make(chan stageMsg, cfg.buffer()),
 		met:  newLiveMetrics(),
@@ -191,14 +164,10 @@ func New(ctx context.Context, cfg Config) (*Pipeline, error) {
 	}
 
 	admCh := make(chan stageMsg, cfg.buffer())
-	downCh := make(chan stageMsg, cfg.buffer())
-	grantCh := make(chan grantMsg)
-	pickCh := make(chan pickMsg)
 	evCh := make(chan evMsg, cfg.buffer())
 
 	go p.admission(p.in, admCh)
-	go p.placement(admCh, downCh, grantCh, pickCh)
-	go p.execution(downCh, grantCh, pickCh, evCh)
+	go p.execution(admCh, evCh)
 	go p.metricsStage(evCh)
 	go func() {
 		// The done barrier: Wait unblocks only once every stage goroutine

@@ -3,8 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"time"
-
-	"opsched/internal/place"
 )
 
 // admission is stage 1: it validates each submitted spec (rejections flow
@@ -78,65 +76,16 @@ func (p *Pipeline) admission(in <-chan stageMsg, out chan<- stageMsg) {
 	}
 }
 
-// placement is stage 2: it owns the placement policy. For each admitted
-// job it forwards the job to execution, waits for execution's grant — the
-// live node views at the job's virtual arrival instant — runs Policy.Pick,
-// and answers with the chosen node. The handshake keeps the engine's state
-// single-threaded (execution owns it) while the decision itself lives
-// here; because the policy is a pure function of (spec, now, views), the
-// pick is byte-identical to the engine's own PlaceAuto path.
-func (p *Pipeline) placement(in <-chan stageMsg, out chan<- stageMsg, grants <-chan grantMsg, picks chan<- pickMsg) {
-	defer close(p.stageDone[stagePlacement])
-	defer close(out)
-	for {
-		m, ok := recvMsg(p.ctx, in)
-		if !ok {
-			return
-		}
-		if p.po != nil {
-			p.po.depthAdmission.Set(float64(len(in)))
-		}
-		switch m.flag {
-		case flagEnd:
-			sendMsg(p.ctx, out, m)
-			return
-		case flagReject, flagTick:
-			if !sendMsg(p.ctx, out, m) {
-				return
-			}
-		case flagJob:
-			if !sendMsg(p.ctx, out, m) {
-				return
-			}
-			g, ok := recvMsg(p.ctx, grants)
-			if !ok {
-				return
-			}
-			// Time the pure policy decision — the handshake waits measure
-			// execution, not this stage.
-			var t0 time.Time
-			if p.po != nil {
-				t0 = time.Now()
-			}
-			node := p.pol.Pick(g.spec, g.nowNs, g.views)
-			if p.po != nil {
-				p.po.placementNs.Observe(float64(time.Since(t0)))
-			}
-			if !sendMsg(p.ctx, picks, pickMsg{node: node}) {
-				return
-			}
-		}
-	}
-}
-
-// execution is stage 3: it owns the engine and the virtual clock. Arrivals
+// execution is stage 2: it owns the engine and the virtual clock. Arrivals
 // interleave with node events under the batch engine's exact tie rule —
 // only events strictly before the arrival are retired first, so a job
-// arriving as a node frees can still join that node's next wave. Ticks
+// arriving as a node frees can still join that node's next wave — and each
+// arrival is placed by the engine's own policy through its placement
+// index (Engine.PlaceAuto), exactly as the batch wrapper places it. Ticks
 // advance the clock without an arrival (the live-serving mode); the END
 // flag drains every remaining event, seals the Result, and propagates to
 // metrics ahead of the channel close.
-func (p *Pipeline) execution(in <-chan stageMsg, grants chan<- grantMsg, picks <-chan pickMsg, out chan<- evMsg) {
+func (p *Pipeline) execution(in <-chan stageMsg, out chan<- evMsg) {
 	defer close(p.stageDone[stageExecution])
 	defer close(out)
 	eng := p.eng
@@ -155,7 +104,7 @@ func (p *Pipeline) execution(in <-chan stageMsg, grants chan<- grantMsg, picks <
 			return
 		}
 		if p.po != nil {
-			p.po.depthPlacement.Set(float64(len(in)))
+			p.po.depthAdmission.Set(float64(len(in)))
 		}
 		switch m.flag {
 		case flagReject:
@@ -205,20 +154,7 @@ func (p *Pipeline) execution(in <-chan stageMsg, grants chan<- grantMsg, picks <
 				p.fail(err)
 				return
 			}
-			if cap(p.grantBuf) < eng.Nodes() {
-				p.grantBuf = make([]place.NodeView, eng.Nodes())
-			}
-			vs := p.grantBuf[:eng.Nodes()]
-			eng.ViewsInto(ji, at, vs)
-			g := grantMsg{ji: ji, nowNs: at, spec: eng.Spec(ji), views: vs}
-			if !sendMsg(p.ctx, grants, g) {
-				return
-			}
-			pk, ok := recvMsg(p.ctx, picks)
-			if !ok {
-				return
-			}
-			if err := eng.Place(ji, pk.node, at); err != nil {
+			if err := eng.PlaceAuto(ji, at); err != nil {
 				p.fail(err)
 				return
 			}
@@ -251,7 +187,7 @@ func (p *Pipeline) execution(in <-chan stageMsg, grants chan<- grantMsg, picks <
 	}
 }
 
-// metricsStage is stage 4: it folds execution's event stream into the live
+// metricsStage is stage 3: it folds execution's event stream into the live
 // accumulator and publishes periodic snapshots. Publication is driven by
 // completion count, not wall time, so a replayed trace produces the same
 // snapshot sequence every run.

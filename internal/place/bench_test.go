@@ -105,3 +105,84 @@ func BenchmarkPlaceHeteroStream(b *testing.B) {
 		}
 	}
 }
+
+// benchPickSink keeps BenchmarkPick's result live.
+var benchPickSink int
+
+// BenchmarkPick is the placement layer alone: ns per model-aware pick on a
+// warmed fleet of 2k (1k KNL + 1k P100), 10k and 100k GPU nodes. Warming
+// places two jobs per node over 10 virtual ms, so the pick sees waves in
+// flight on every node and no idle one. Every op then picks a node for one
+// more admitted job at the warm clock, with nothing placed in between, so
+// all ops see the same fleet. path=index is PlaceAuto's pick;
+// path=views is the reference ViewsInto → Policy.Pick scan on the same
+// state, the O(nodes) cost the index replaces. 100k is skipped under
+// -short.
+func BenchmarkPick(b *testing.B) {
+	fleets := []struct {
+		name string
+		c    Cluster
+	}{
+		{"knl=1000/gpus=1000", Cluster{Nodes: 1000, GPUs: 1000}},
+		{"gpus=10000", Cluster{GPUs: 10_000}},
+		{"gpus=100000", Cluster{GPUs: 100_000}},
+	}
+	for _, f := range fleets {
+		for _, path := range []string{"index", "views"} {
+			b.Run(f.name+"/path="+path, func(b *testing.B) {
+				if f.c.GPUs > 10_000 && testing.Short() {
+					b.Skip("the 100k-node fleet is the full-suite run; run without -short (scripts/bench.sh does)")
+				}
+				e, ji, at := warmFleet(b, f.c)
+				vs := make([]NodeView, e.Nodes())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if path == "index" {
+						benchPickSink = e.pick(ji, at)
+					} else {
+						e.ViewsInto(ji, at, vs)
+						benchPickSink = e.pol.Pick(e.specs[ji], at, vs)
+					}
+				}
+			})
+		}
+	}
+}
+
+// warmFleet places two single-step jobs per node on c under model-aware,
+// arriving over 10 virtual ms, then admits one more job at the last
+// arrival and returns it with its arrival instant, ready to be picked.
+func warmFleet(b *testing.B, c Cluster) (*Engine, int, float64) {
+	b.Helper()
+	e, err := NewEngine(c, Options{Policy: "model-aware"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := MustSynthetic(2*e.Nodes(), 7, []string{nn.LSTM, nn.DCGAN}, 1e7/float64(2*e.Nodes()))
+	at := 0.0
+	for _, sp := range w {
+		at = sp.ArrivalNs
+		for {
+			ev, ok := e.NextEventNs()
+			if !ok || ev >= at {
+				break
+			}
+			if _, err := e.ProcessNextEvent(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ji, err := e.Admit(sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.PlaceAuto(ji, at); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ji, err := e.Admit(JobSpec{Model: nn.LSTM, ArrivalNs: at})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e, ji, at
+}

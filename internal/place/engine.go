@@ -1,7 +1,6 @@
 package place
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -119,26 +118,14 @@ type waveEntry struct {
 	version int
 }
 
-// waveHeap orders candidate node events by time, breaking ties on the
-// lower node index — the same deterministic order the former linear scan
-// produced, now at O(log nodes) per event instead of O(jobs × nodes).
-type waveHeap []waveEntry
-
-func (h waveHeap) Len() int { return len(h) }
-func (h waveHeap) Less(a, b int) bool {
-	if h[a].startNs != h[b].startNs {
-		return h[a].startNs < h[b].startNs
+// before orders candidate node events by time, breaking ties on the lower
+// node index — the same deterministic order a linear scan over the nodes
+// would produce, at O(log nodes) per event.
+func (a waveEntry) before(b waveEntry) bool {
+	if a.startNs != b.startNs {
+		return a.startNs < b.startNs
 	}
-	return h[a].node < h[b].node
-}
-func (h waveHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *waveHeap) Push(x interface{}) { *h = append(*h, x.(waveEntry)) }
-func (h *waveHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	return a.node < b.node
 }
 
 // modelInfo caches the hardware-independent per-model quantities: the
@@ -152,15 +139,16 @@ type modelInfo struct {
 }
 
 // Engine is the placement event loop in open, incremental form: a machine
-// that admits one job at a time, places it against live node views at its
-// virtual arrival instant, and retires node events (wave launches and
+// that admits one job at a time, places it against the live node state at
+// its virtual arrival instant, and retires node events (wave launches and
 // lockstep round completions) one by one. Nothing about it assumes the
 // workload is closed — jobs may keep arriving forever, as long as arrivals
 // are fed in nondecreasing virtual-time order — which is what lets the same
 // core serve both the batch PlaceJobs wrapper (admit a sorted slice, pump
-// until done) and the streaming admission→placement→execution pipeline
-// (jobs arrive over a channel, the executor owns the pump). An Engine is
-// not safe for concurrent use; exactly one goroutine must drive it.
+// until done) and the streaming admission→execution→metrics pipeline
+// (jobs arrive over a channel, the execution stage owns the pump). An
+// Engine is not safe for concurrent use; exactly one goroutine must drive
+// it.
 type Engine struct {
 	specs     []JobSpec
 	nodes     []*nodeState
@@ -193,7 +181,7 @@ type Engine struct {
 	// inference request is admitted; a training-only run never takes it.
 	anyInference bool
 
-	events    waveHeap
+	events    minHeap[waveEntry]
 	idxW      int
 	completed int
 	arrivalNs float64 // admission high-water mark: arrivals must not regress
@@ -207,14 +195,18 @@ type Engine struct {
 
 	// Runtime-indexed hot-path tables: rtIdx maps each node to its
 	// runtime's position in uniqueRts; rtKind/rtCap/rtAlpha cache the
-	// per-runtime constants so the placement scan never makes an
-	// interface call per node; rtWorkBuf is per-pick scratch holding the
-	// arriving job's predicted work per distinct runtime.
+	// per-runtime constants so neither the placement index nor ViewsInto
+	// makes an interface call per node; rtWorkBuf is per-pick scratch
+	// holding the arriving job's predicted work per distinct runtime.
 	rtIdx     []int
 	rtKind    []string
 	rtCap     []int
 	rtAlpha   []float64
 	rtWorkBuf []float64
+
+	// idx is the built-in policy's placement index, re-filed at every node
+	// change (push, a trigger cut); nil for any other policy.
+	idx *placeIndex
 
 	// stepWork caches each job's one-step predicted work on its currently
 	// assigned node, so the wave scheduler never re-resolves a runtime
@@ -322,6 +314,8 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 		e.rtIdx[i] = idx
 	}
 	e.rtWorkBuf = make([]float64, len(e.uniqueRts))
+	e.events.less = waveEntry.before
+	e.idx = newPlaceIndex(pol, e.rtIdx, e.rtCap, e.rtAlpha)
 	e.idxW = len(fmt.Sprintf("%d", len(e.nodes)-1))
 	if e.idxW < 2 {
 		e.idxW = 2
@@ -391,8 +385,9 @@ func (e *Engine) Admit(j JobSpec) (int, error) {
 }
 
 // Spec returns admitted job ji's canonical spec — model resolved, default
-// name filled. A pipeline placement stage feeds this (not the raw submitted
-// spec) to the policy, so its picks match PlaceAuto byte for byte.
+// name filled. A caller running the reference Views → Policy.Pick path
+// feeds this (not the raw submitted spec) to the policy, so its picks
+// match PlaceAuto byte for byte.
 func (e *Engine) Spec(ji int) JobSpec { return e.specs[ji] }
 
 // NextEventNs is the earliest pending node event on the cluster clock
@@ -410,7 +405,7 @@ func (e *Engine) ProcessNextEvent() ([]int, error) {
 	if node < 0 {
 		return nil, fmt.Errorf("place: no pending node event")
 	}
-	heap.Pop(&e.events) // consume the peeked (valid) entry
+	e.events.pop() // consume the peeked (valid) entry
 	if e.eo != nil {
 		e.eo.events.Inc()
 	}
@@ -494,12 +489,21 @@ func (e *Engine) info(model string) *modelInfo {
 }
 
 // push re-indexes node i in the event heap (stale entries are
-// version-skipped on peek).
+// version-skipped on peek) and in the placement index.
 func (e *Engine) push(i int) {
 	ns := e.nodes[i]
 	ns.version++
 	if next := ns.nextEventNs(); !math.IsInf(next, 1) {
-		heap.Push(&e.events, waveEntry{startNs: next, node: i, version: ns.version})
+		e.events.push(waveEntry{startNs: next, node: i, version: ns.version})
+	}
+	e.reindex(i)
+}
+
+// reindex re-files node i's view in the placement index.
+func (e *Engine) reindex(i int) {
+	if e.idx != nil {
+		ns := e.nodes[i]
+		e.idx.set(i, ns.viewFreeNs(), len(ns.queue), ns.residentCount())
 	}
 }
 
@@ -507,13 +511,14 @@ func (e *Engine) push(i int) {
 // stale heads (whose version no longer matches their node's) along the
 // way, or (-1, +Inf) when the heap is drained.
 func (e *Engine) peek() (int, float64) {
-	for len(e.events) > 0 && e.nodes[e.events[0].node].version != e.events[0].version {
-		heap.Pop(&e.events)
+	for e.events.len() > 0 && e.nodes[e.events.top().node].version != e.events.top().version {
+		e.events.pop()
 	}
-	if len(e.events) == 0 {
+	if e.events.len() == 0 {
 		return -1, math.Inf(1)
 	}
-	return e.events[0].node, e.events[0].startNs
+	top := e.events.top()
+	return top.node, top.startNs
 }
 
 // queueDelta folds one node's staged-queue change into the fleet-wide
@@ -558,9 +563,9 @@ func (e *Engine) remainingNs(ji int) float64 {
 // Views snapshots every node for a placement decision on job ji at nowNs:
 // per-node hardware kind and capacity, the queued work priced on that
 // hardware (maintained incrementally, not rescanned), and the arriving
-// job's total predicted solo work on that hardware. The returned slice is
-// the caller's to keep — a pipeline placement stage may carry it across a
-// channel.
+// job's total predicted solo work on that hardware — the reference input
+// of Policy.Pick, against which the placement index is tested. The
+// returned slice is the caller's to keep.
 func (e *Engine) Views(ji int, nowNs float64) []NodeView {
 	vs := make([]NodeView, len(e.nodes))
 	e.ViewsInto(ji, nowNs, vs)
@@ -568,8 +573,9 @@ func (e *Engine) Views(ji int, nowNs float64) []NodeView {
 }
 
 // ViewsInto fills vs — which must have length len(nodes) — with the same
-// snapshot Views returns, without allocating: the hot path for callers that
-// reuse a scratch slice (PlaceAuto, the pipeline's pooled grants).
+// snapshot Views returns, without allocating: for callers that reuse a
+// scratch slice (PlaceAuto's saturated-fleet fallback, a replay timing
+// the reference path).
 func (e *Engine) ViewsInto(ji int, nowNs float64, vs []NodeView) {
 	if len(vs) != len(e.nodes) {
 		panic(fmt.Sprintf("place: ViewsInto needs a %d-node slice, got %d", len(e.nodes), len(vs)))
@@ -614,37 +620,47 @@ func (e *Engine) jobWorkPerRuntime(ji int) []float64 {
 }
 
 // PlaceAuto places admitted job ji at its arrival instant using the
-// engine's own policy — the batch wrapper's path. For the built-in
-// policies the node scan and the policy reduction run fused (fusedPick):
-// no NodeView is ever materialized, the per-node quantities are folded
-// straight into the policy's argmin, and the result is byte-identical to
-// Views → Pick by the policies' equivalence property test. A pipeline's
-// placement stage runs the identical policy itself (Views → Policy.Pick →
-// Place), so both paths make byte-identical decisions. In the fallback
-// path the node views are built into an engine-owned scratch slice;
-// policies see them only for the duration of Pick and must not retain
-// them.
+// engine's own policy — the path of the batch wrapper and of the
+// pipeline's execution stage. For the built-in policies the decision comes
+// from the placement index (index.go) in time sub-linear in the fleet, and
+// it is the node Views → Policy.Pick would return, by the index's
+// randomized oracle test.
 func (e *Engine) PlaceAuto(ji int, at float64) error {
-	// Wall-clock scan timing is observability-only: it is read solely when
+	// Wall-clock pick timing is observability-only: it is read solely when
 	// metrics are attached and never feeds the virtual clock, so it cannot
 	// perturb a decision.
 	var scanT0 time.Time
 	if e.eo != nil {
 		scanT0 = time.Now()
 	}
-	n, ok := e.fusedPick(ji, at)
-	if !ok {
-		if cap(e.viewBuf) < len(e.nodes) {
-			e.viewBuf = make([]NodeView, len(e.nodes))
-		}
-		vs := e.viewBuf[:len(e.nodes)]
-		e.ViewsInto(ji, at, vs)
-		n = e.pol.Pick(e.specs[ji], at, vs)
-	}
+	n := e.pick(ji, at)
 	if e.eo != nil {
 		e.eo.placeScanNs.Observe(float64(time.Since(scanT0)))
 	}
 	return e.Place(ji, n, at)
+}
+
+// pick chooses job ji's node at nowNs: from the index when it can answer,
+// else through the reference path, with the node views built into an
+// engine-owned scratch slice that the policy sees only for the duration of
+// Pick — on a saturated fleet under model-aware, or for a policy the index
+// does not know.
+func (e *Engine) pick(ji int, nowNs float64) int {
+	if e.idx != nil {
+		var work []float64
+		if e.idx.mode == pickModelAware {
+			work = e.jobWorkPerRuntime(ji)
+		}
+		if n, ok := e.idx.pick(nowNs, work); ok {
+			return n
+		}
+	}
+	if cap(e.viewBuf) < len(e.nodes) {
+		e.viewBuf = make([]NodeView, len(e.nodes))
+	}
+	vs := e.viewBuf[:len(e.nodes)]
+	e.ViewsInto(ji, nowNs, vs)
+	return e.pol.Pick(e.specs[ji], nowNs, vs)
 }
 
 // Place stages admitted job ji on the chosen node at its arrival instant
@@ -714,6 +730,7 @@ func (e *Engine) fireTriggers(ji, node int, at float64) {
 				// collapse the drain horizon so later arrivals, triggers
 				// and migrations price the node as freeing there.
 				w.drainNs = w.roundEndNs
+				e.reindex(idx)
 				e.firings++
 				if e.eo != nil {
 					e.eo.firings.With(tr.Name()).Inc()

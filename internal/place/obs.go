@@ -69,7 +69,7 @@ func newEngineObs(reg *obs.Registry) *engineObs {
 		events: reg.Counter("opsched_engine_events_total",
 			"Node events retired through the event loop."),
 		placeScanNs: reg.Histogram("opsched_engine_placement_scan_ns",
-			"Wall-clock nanoseconds per placement scan (PlaceAuto pick).",
+			"Wall-clock nanoseconds per placement pick (PlaceAuto).",
 			obs.ExpBuckets(100, 10, 8)),
 		preemptions: reg.Counter("opsched_engine_preemptions_total",
 			"Jobs checkpointed out of cut waves."),

@@ -409,8 +409,8 @@ func (o Options) policy() string {
 }
 
 // PolicyName is the effective placement policy name after defaulting — the
-// spelling a pipeline placement stage resolves through NewPolicy so its
-// picks match the engine's own.
+// spelling a caller of the reference Views → Policy.Pick path resolves
+// through NewPolicy so its picks match the engine's own.
 func (o Options) PolicyName() string { return o.policy() }
 
 func (o Options) arbiter() string {

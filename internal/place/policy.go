@@ -61,7 +61,8 @@ func (BinPack) Name() string { return "binpack" }
 // Pick implements Policy.
 func (BinPack) Pick(_ JobSpec, _ float64, nodes []NodeView) int {
 	best := -1
-	for _, v := range nodes {
+	for i := range nodes {
+		v := &nodes[i]
 		if v.Load() >= v.Capacity {
 			continue
 		}
@@ -111,7 +112,7 @@ func (ModelAware) Name() string { return "model-aware" }
 // the interference of the jobs it would co-run with, plus — only when the
 // commitment overflows one gang wave — the queued work draining at
 // capacity-wide throughput ahead of it.
-func (ModelAware) estimate(v NodeView, nowNs float64) float64 {
+func (ModelAware) estimate(v *NodeView, nowNs float64) float64 {
 	start := v.FreeNs
 	if start < nowNs {
 		start = nowNs
@@ -120,7 +121,7 @@ func (ModelAware) estimate(v NodeView, nowNs float64) float64 {
 	if co > v.Capacity-1 {
 		co = v.Capacity - 1
 	}
-	est := start + v.JobWorkNs*(1+v.Alpha*float64(co))
+	est := finishEst(start, v.JobWorkNs, v.Alpha, co)
 	if v.Load() >= v.Capacity {
 		est += v.QueuedWorkNs / float64(v.Capacity)
 	}
@@ -131,7 +132,8 @@ func (ModelAware) estimate(v NodeView, nowNs float64) float64 {
 func (p ModelAware) Pick(_ JobSpec, nowNs float64, nodes []NodeView) int {
 	best, bestEst := -1, 0.0
 	full, fullEst := -1, 0.0
-	for _, v := range nodes {
+	for i := range nodes {
+		v := &nodes[i]
 		est := p.estimate(v, nowNs)
 		if v.Load() >= v.Capacity {
 			if full < 0 || est < fullEst {
@@ -153,8 +155,8 @@ func (p ModelAware) Pick(_ JobSpec, nowNs float64, nodes []NodeView) int {
 // lowest index.
 func leastLoaded(nodes []NodeView) int {
 	best := 0
-	for _, v := range nodes[1:] {
-		if v.Load() < nodes[best].Load() {
+	for i := range nodes[1:] {
+		if v := &nodes[1+i]; v.Load() < nodes[best].Load() {
 			best = v.Index
 		}
 	}

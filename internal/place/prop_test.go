@@ -139,14 +139,14 @@ func TestModelAwareHeteroPredictionProperty(t *testing.T) {
 		// Pick must never prefer a node whose estimate another
 		// spare-capacity node beats.
 		for _, o := range vs {
-			if o.Load() < o.Capacity && pol.estimate(o, nowNs) < pol.estimate(v, nowNs)-1e-9 {
+			if o.Load() < o.Capacity && pol.estimate(&o, nowNs) < pol.estimate(&v, nowNs)-1e-9 {
 				if v.Load() < v.Capacity {
 					t.Errorf("Pick chose node %d (est %v) over node %d (est %v), both under capacity",
-						picked, pol.estimate(v, nowNs), o.Index, pol.estimate(o, nowNs))
+						picked, pol.estimate(&v, nowNs), o.Index, pol.estimate(&o, nowNs))
 				}
 			}
 		}
-		return pol.estimate(v, nowNs), v.Load() < v.Capacity
+		return pol.estimate(&v, nowNs), v.Load() < v.Capacity
 	}
 	prop := func(seed uint32, nCPU, nGPU uint8) bool {
 		rng := rand.New(rand.NewSource(int64(seed)))

@@ -54,7 +54,7 @@ type ClusterGrid struct {
 	Preempts []string
 	// Engines selects the execution paths crossed with every cell:
 	// "batch" (place.PlaceJobs) and/or "pipeline" (the streaming
-	// admission→placement→execution→metrics pipeline, fed the same closed
+	// admission→execution→metrics pipeline, fed the same closed
 	// workload). Empty means {"batch"}. The two engines are byte-identical
 	// on identical inputs — a "batch"×"pipeline" grid is the equivalence
 	// gate CI diffs.

@@ -439,7 +439,7 @@ const (
 	EnginePipeline = sweep.EnginePipeline
 )
 
-// JobPipeline is a running admission→placement→execution→metrics chain:
+// JobPipeline is a running admission→execution→metrics chain:
 // Submit jobs (and optionally Ticks) from any goroutine, Close to send the
 // END flag through every stage, Wait for the sealed result, Snapshot for
 // live in-flight metrics (see pipeline.Pipeline).
