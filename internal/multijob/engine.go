@@ -84,7 +84,9 @@ type engine struct {
 // CoTrain executes one training step of every job concurrently on one
 // machine under the given cross-job arbiter (nil means FairShare). It first
 // runs each job solo for the slowdown baseline, then co-runs them from a
-// common virtual time zero. Execution is fully deterministic.
+// common virtual time zero. A job from RuntimeJob whose machine is
+// opts.Machine skips the solo run: it carries that baseline already.
+// Execution is fully deterministic.
 func CoTrain(jobs []Job, arb Arbiter, opts Options) (*Result, error) {
 	if err := validateJobs(jobs); err != nil {
 		return nil, err
@@ -102,6 +104,10 @@ func CoTrain(jobs []Job, arb Arbiter, opts Options) (*Result, error) {
 	// exact single-job behaviour the facade's TrainStep produces.
 	solos := make([]float64, len(jobs))
 	for i, job := range jobs {
+		if b := job.baseline(m); b != nil {
+			solos[i] = b.soloNs
+			continue
+		}
 		res, err := exec.Run(job.Graph, job.Sched, exec.Options{Machine: m})
 		if err != nil {
 			return nil, fmt.Errorf("multijob: solo run of job %s: %w", job.Name, err)
@@ -117,7 +123,11 @@ func CoTrain(jobs []Job, arb Arbiter, opts Options) (*Result, error) {
 				j.ready = append(j.ready, graph.NodeID(id))
 			}
 		}
-		j.workNs = predictedWork(m, j.Graph, job.ProfileInterval)
+		if b := job.baseline(m); b != nil {
+			j.workNs = b.workNs
+		} else {
+			j.workNs = predictedWork(m, j.Graph, job.ProfileInterval)
+		}
 		for _, w := range j.workNs {
 			j.remainingWork += w
 		}

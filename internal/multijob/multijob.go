@@ -56,17 +56,58 @@ type Job struct {
 	// default (4). RuntimeJob sets it from the config so the process-wide
 	// perfmodel cache entry is shared with the job's own profiling.
 	ProfileInterval int
+
+	// base is the solo baseline RuntimeJob computed on its machine; nil
+	// for any other Job.
+	base *soloBaseline
+}
+
+// soloBaseline is what CoTrain would otherwise recompute for a job on
+// every call: its solo step time and its per-node predicted work. Both
+// depend only on the graph, the scheduler, the machine and the profile
+// interval, which it records so a Job edited after RuntimeJob falls back
+// to a fresh solo run.
+type soloBaseline struct {
+	m        *hw.Machine
+	g        *graph.Graph
+	sched    exec.Scheduler
+	interval int
+	soloNs   float64
+	workNs   []float64 // by NodeID; shared read-only by every copy of the Job
+}
+
+// baseline returns the job's stored baseline when it was computed for
+// this machine and the job's current graph, scheduler and interval.
+func (j Job) baseline(m *hw.Machine) *soloBaseline {
+	b := j.base
+	if b == nil || b.m != m || b.g != j.Graph || b.sched != j.Sched || b.interval != j.ProfileInterval {
+		return nil
+	}
+	return b
 }
 
 // RuntimeJob builds a Job running the paper's runtime under cfg on machine
 // m, profiled for g (hill-climb profiles come from the process-wide
-// perfmodel cache, so co-run and solo runs share them).
+// perfmodel cache, so co-run and solo runs share them). It also runs the
+// job solo on m once and stores that baseline — the solo step time and the
+// per-node predicted work — in the Job, so every CoTrain on the same m
+// skips both. Copies of the Job share its runtime and that baseline; the
+// runtime only writes its own candidate memo after Profile, so co-running
+// several copies gives the same results as co-running fresh jobs.
 func RuntimeJob(name string, g *graph.Graph, m *hw.Machine, cfg core.Config) (Job, error) {
 	rt := core.New(m, cfg)
 	if err := rt.Profile(g); err != nil {
 		return Job{}, fmt.Errorf("multijob: job %s: %w", name, err)
 	}
-	return Job{Name: name, Graph: g, Sched: rt, ProfileInterval: cfg.Interval}, nil
+	m = rt.Machine()
+	solo, err := exec.Run(g, rt, exec.Options{Machine: m})
+	if err != nil {
+		return Job{}, fmt.Errorf("multijob: solo run of job %s: %w", name, err)
+	}
+	return Job{Name: name, Graph: g, Sched: rt, ProfileInterval: cfg.Interval, base: &soloBaseline{
+		m: m, g: g, sched: rt, interval: cfg.Interval,
+		soloNs: solo.StepTimeNs, workNs: predictedWork(m, g, cfg.Interval),
+	}}, nil
 }
 
 // FIFOJob builds a Job running the TensorFlow-style FIFO baseline.

@@ -2,6 +2,7 @@ package place
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"opsched/internal/nn"
@@ -38,7 +39,7 @@ func BenchmarkPlaceLargeStream(b *testing.B) {
 
 // BenchmarkPlaceHuge is the service-scale gate: tens of thousands of jobs
 // over a thousand-node (and, in full runs, a ten-thousand-node) GPU fleet
-// through the serial event loop with gang-signature memoization. The 20k ×
+// through the serial event loop with wave memoization. The 20k ×
 // 1k case must finish one iteration in well under a minute, and the
 // 100k × 10k case is the north-star scale, skipped under -short because it
 // keeps a 10k-node event heap hot for seconds per iteration. ReportAllocs
@@ -185,4 +186,93 @@ func warmFleet(b *testing.B, c Cluster) (*Engine, int, float64) {
 		b.Fatal(err)
 	}
 	return e, ji, at
+}
+
+// BenchmarkRunWave is the wave-pricing layer alone: one RunWave of a
+// three-job wave (two LSTMs and a DCGAN, the replay mixes' shape) on a warm
+// CPU and a warm GPU runtime. The warm-up wave has already prepared every
+// per-model job and cache; memo=hit then finds the wave in the memo every
+// op, memo=miss empties the memo before every op, so each op pays the key,
+// the simulation and the insert — the cost a new gang composition adds.
+func BenchmarkRunWave(b *testing.B) {
+	e, err := NewEngine(Cluster{Nodes: 1, GPUs: 1}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wave := []WaveJob{
+		{Name: "a", Model: nn.LSTM, StepsLeft: 1},
+		{Name: "b", Model: nn.DCGAN, StepsLeft: 3, Priority: 1, Weight: 2},
+		{Name: "c", Model: nn.LSTM, StepsLeft: 2},
+	}
+	for _, rt := range e.uniqueRts {
+		var memo *waveMemo
+		switch r := rt.(type) {
+		case *cpuRuntime:
+			memo = r.memo
+		case *gpuRuntime:
+			memo = r.memo
+		}
+		for _, path := range []string{"hit", "miss"} {
+			b.Run(rt.Kind()+"/memo="+path, func(b *testing.B) {
+				if _, err := rt.RunWave(wave); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if path == "miss" {
+						clear(memo.m)
+					}
+					if _, err := rt.RunWave(wave); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// benchRenderSink keeps BenchmarkRender's report live.
+var benchRenderSink string
+
+// BenchmarkRender is the sealed report alone: rendering a seeded
+// 20k-job, 1k-node Result whose preemption columns are on (about one job
+// in eight preempted, a third of those migrated). Replays render once,
+// serially after the drain, so this time is on their wall clock.
+func BenchmarkRender(b *testing.B) {
+	rng := rand.New(rand.NewSource(15))
+	r := &Result{Policy: "model-aware", Arbiter: "fair", Nodes: 1000, Fleet: "500×knl + 500×p100"}
+	models := nn.Names()
+	for i := 0; i < 20_000; i++ {
+		arrive := float64(i) * 1.3e5
+		queue := rng.Float64() * 4e7
+		corun := 1e6 + rng.Float64()*2e8
+		p := PlacedJob{
+			Name: fmt.Sprintf("job-%05d", i), Model: models[rng.Intn(len(models))],
+			Node: rng.Intn(1000), Kind: KindCPU, Wave: rng.Intn(400),
+			ArrivalNs: arrive, QueueNs: queue, CoRunNs: corun, FinishNs: arrive + queue + corun,
+			SoloNs: corun / (1 + rng.Float64()), Slowdown: 1 + rng.Float64()*3,
+		}
+		if p.Node >= 500 {
+			p.Kind = KindGPU
+		}
+		if rng.Intn(8) == 0 {
+			p.Preemptions = 1 + rng.Intn(3)
+			if rng.Intn(3) == 0 {
+				p.Migrations = 1
+				p.Path = fmt.Sprintf("n%03d/%s -> n%03d/cpu", p.Node, p.Kind, rng.Intn(500))
+			}
+		}
+		r.Jobs = append(r.Jobs, p)
+	}
+	for i := 0; i < r.Nodes; i++ {
+		r.NodeStats = append(r.NodeStats, NodeStats{Node: i, Kind: KindCPU, Jobs: 20, Waves: 9, BusyNs: rng.Float64() * 3e9})
+	}
+	r.finalize()
+	b.SetBytes(int64(len(r.Render())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRenderSink = r.Render()
+	}
 }

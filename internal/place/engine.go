@@ -3,9 +3,9 @@ package place
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"opsched/internal/cluster"
@@ -168,14 +168,14 @@ type Engine struct {
 	migrator  preempt.Migrator
 	firings   int
 
-	steps        []int     // per-job total step count
-	done         []int     // per-job steps retired
-	readyNs      []float64 // per-job current staging-complete time
-	started      []bool    // per-job "first wave launched"
-	countedOn    []int     // last node the job was counted as executing on (-1 none)
-	checkpointNs []float64 // per-job pending checkpoint capture time, -1 when none
-	path         [][]string
-	workKeys     []string // per-job pricing key: the model, or InferKey(model, 1)
+	steps        []int      // per-job total step count
+	done         []int      // per-job steps retired
+	readyNs      []float64  // per-job current staging-complete time
+	started      []bool     // per-job "first wave launched"
+	countedOn    []int      // last node the job was counted as executing on (-1 none)
+	checkpointNs []float64  // per-job pending checkpoint capture time, -1 when none
+	path         [][]string // per-job migration path segments; nil until the job first moves
+	workKeys     []string   // per-job pricing key: the model, or InferKey(model, 1)
 
 	// anyInference arms the latency-class admission path the first time an
 	// inference request is admitted; a training-only run never takes it.
@@ -259,15 +259,11 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	}
 	cfg := opts.config()
 
-	// graphFor backs the runtimes' work and wave caches, which are safe for
-	// concurrent use, so it locks too. Graphs are immutable once built;
-	// only the map needs the mutex, and the lock is touched a handful of
-	// times per run (once per distinct model key).
+	// graphFor builds each model key's graph once per engine, for the
+	// engine and its runtimes alike; the engine is single-threaded, so a
+	// plain map suffices. Graphs are immutable once built.
 	graphs := make(map[string]*graph.Graph)
-	var graphsMu sync.Mutex
 	graphFor := func(model string) *graph.Graph {
-		graphsMu.Lock()
-		defer graphsMu.Unlock()
 		if g, ok := graphs[model]; ok {
 			return g
 		}
@@ -284,8 +280,8 @@ func NewEngine(c Cluster, opts Options) (*Engine, error) {
 	}
 
 	// One runtime per distinct hardware descriptor: nodes sharing a
-	// machine or device share its per-model work cache — and its
-	// fleet-wide gang-signature wave memo.
+	// machine or device share its per-model caches — and its fleet-wide
+	// wave memo.
 	runtimes := buildRuntimes(c.nodeDescriptors(), arb, cfg, graphFor, opts.noWaveMemo)
 
 	e := &Engine{
@@ -357,6 +353,11 @@ func (e *Engine) Admit(j JobSpec) (int, error) {
 	j.Name = j.label(len(e.specs))
 	ji := len(e.specs)
 	e.specs = append(e.specs, j)
+	if len(e.placed) == cap(e.placed) {
+		// Double the ~260-byte rows: past 256 entries append grows by
+		// 1.25×, which recopies a long stream's rows far more often.
+		e.placed = slices.Grow(e.placed, len(e.placed)+1)
+	}
 	e.placed = append(e.placed, PlacedJob{})
 	e.steps = append(e.steps, j.steps())
 	e.done = append(e.done, 0)
@@ -532,9 +533,8 @@ func (e *Engine) queueDelta(dJobs int, dWorkNs float64) {
 	}
 }
 
-// WaveMemoStats sums the fleet's gang-signature wave-memo counters: cache
-// hits are waves priced without a simulation. Both are zero when the memo
-// is disabled.
+// WaveMemoStats sums the fleet's wave-memo counters: memo hits are waves
+// priced without a simulation. Both are zero when the memo is disabled.
 func (e *Engine) WaveMemoStats() (hits, misses int) {
 	for _, rt := range e.uniqueRts {
 		if ms, ok := rt.(waveMemoStats); ok {
@@ -683,7 +683,6 @@ func (e *Engine) Place(ji, n int, at float64) error {
 		Class: sp.EffectiveClass(), SLONs: sp.SLONs,
 	}
 	e.readyNs[ji] = at + mi.xferNs
-	e.path[ji] = []string{e.pathSeg(n)}
 	e.stepWork[ji] = ns.rt.SoloWorkNs(e.workKeys[ji])
 	work := e.remainingNs(ji)
 	ns.queue = append(ns.queue, ji)
@@ -1019,7 +1018,7 @@ func (e *Engine) runRound(n int, startNs float64) error {
 		if sp.Inference() {
 			// An inference slot runs one batch-sized forward step: its
 			// work key carries the dynamic batch size, so every cache
-			// (runtime work, gang signature) prices it distinctly.
+			// (runtime work, wave memo) prices it distinctly.
 			wj.Model = InferKey(sp.Model, 1+len(w.batch[ji]))
 			wj.Class = ClassInference
 		}
@@ -1208,6 +1207,11 @@ func (e *Engine) checkpointWave(from int, remain []int, t float64) {
 		p.Preemptions++
 		if tgt != from {
 			p.Migrations++
+			if e.path[ji] == nil {
+				// First move: until now every restore landed back on
+				// the node the job was placed on, which is from.
+				e.path[ji] = []string{e.pathSeg(from)}
+			}
 			e.path[ji] = append(e.path[ji], e.pathSeg(tgt))
 		}
 		if e.eo != nil {
@@ -1243,8 +1247,9 @@ func (e *Engine) checkpointWave(from int, remain []int, t float64) {
 }
 
 // buildRuntimes resolves every node descriptor to its NodeRuntime, sharing
-// one runtime — its per-model work cache and its gang-signature wave memo —
-// across nodes with the same hardware descriptor.
+// one runtime — its per-model caches and its wave memo — across nodes with
+// the same hardware descriptor. It prepares nothing: each runtime fills its
+// caches on first use.
 func buildRuntimes(descs []Node, arb multijob.Arbiter, cfg core.Config, graphFor func(string) *graph.Graph, noMemo bool) []NodeRuntime {
 	cpus := make(map[*hw.Machine]*cpuRuntime)
 	gpus := make(map[*gpu.Device]*gpuRuntime)

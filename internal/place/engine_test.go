@@ -45,7 +45,7 @@ func goldenConfigs() []struct {
 	}
 }
 
-// TestWaveMemoEngineByteEquivalence: disabling the gang-signature memo
+// TestWaveMemoEngineByteEquivalence: disabling the wave memo
 // changes nothing but speed — every golden config renders byte-identically
 // with the memo disabled.
 func TestWaveMemoEngineByteEquivalence(t *testing.T) {

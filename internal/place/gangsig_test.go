@@ -1,12 +1,11 @@
 package place
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"opsched/internal/core"
@@ -34,11 +33,13 @@ func TestStepsBucket(t *testing.T) {
 	}
 }
 
-// TestGangSignatureCanonicalization is the canonicalization table: the
-// signature is order-invariant over the job multiset, separates hardware
-// kinds, normalizes weights the way the wave simulators read them, ignores
-// job names, and distinguishes everything that prices differently.
-func TestGangSignatureCanonicalization(t *testing.T) {
+// TestWaveFingerprint is the memo-key table: the ordered fingerprint
+// separates hardware kinds and job orderings, normalizes weights the way
+// the wave simulators read them, ignores job names, buckets steps, and
+// distinguishes everything that prices differently. Every row is checked
+// twice — on the fingerprint bytes, and as memo entries (equal rows share
+// one simulation, distinct rows simulate fresh).
+func TestWaveFingerprint(t *testing.T) {
 	j := func(model string, steps, prio int, weight float64) WaveJob {
 		return WaveJob{Model: model, StepsLeft: steps, Priority: prio, Weight: weight}
 	}
@@ -51,10 +52,12 @@ func TestGangSignatureCanonicalization(t *testing.T) {
 		jobsB []WaveJob
 		equal bool
 	}{
+		{"same ordering", KindCPU, base,
+			KindCPU, []WaveJob{base[0], base[1], base[2]}, true},
 		{"permutation", KindCPU, base,
-			KindCPU, []WaveJob{base[2], base[0], base[1]}, true},
+			KindCPU, []WaveJob{base[2], base[0], base[1]}, false},
 		{"reverse", KindCPU, base,
-			KindCPU, []WaveJob{base[2], base[1], base[0]}, true},
+			KindCPU, []WaveJob{base[2], base[1], base[0]}, false},
 		{"names ignored", KindCPU, []WaveJob{{Name: "a", Model: "lstm", StepsLeft: 1}},
 			KindCPU, []WaveJob{{Name: "z", Model: "lstm", StepsLeft: 1}}, true},
 		{"cpu vs gpu", KindCPU, base, KindGPU, base, false},
@@ -62,12 +65,18 @@ func TestGangSignatureCanonicalization(t *testing.T) {
 			KindCPU, []WaveJob{j("lstm", 1, 0, 1)}, true},
 		{"negative weight defaulted", KindCPU, []WaveJob{j("lstm", 1, 0, -3)},
 			KindCPU, []WaveJob{j("lstm", 1, 0, 1)}, true},
+		{"NaN weights equal", KindCPU, []WaveJob{j("lstm", 1, 0, math.NaN())},
+			KindCPU, []WaveJob{j("lstm", 1, 0, -math.NaN())}, true},
 		{"weight matters", KindCPU, []WaveJob{j("lstm", 1, 0, 2)},
 			KindCPU, []WaveJob{j("lstm", 1, 0, 1)}, false},
 		{"priority matters", KindCPU, []WaveJob{j("lstm", 1, 5, 1)},
 			KindCPU, []WaveJob{j("lstm", 1, 0, 1)}, false},
+		{"negative priority", KindCPU, []WaveJob{j("lstm", 1, -1, 1)},
+			KindCPU, []WaveJob{j("lstm", 1, 1, 1)}, false},
 		{"model matters", KindCPU, []WaveJob{j("lstm", 1, 0, 1)},
 			KindCPU, []WaveJob{j("dcgan", 1, 0, 1)}, false},
+		{"model boundary", KindCPU, []WaveJob{j("ab", 1, 0, 1), j("c", 1, 0, 1)},
+			KindCPU, []WaveJob{j("a", 1, 0, 1), j("bc", 1, 0, 1)}, false},
 		{"same bucket", KindCPU, []WaveJob{j("lstm", 5, 0, 1)},
 			KindCPU, []WaveJob{j("lstm", 8, 0, 1)}, true},
 		{"bucket boundary", KindCPU, []WaveJob{j("lstm", 4, 0, 1)},
@@ -76,36 +85,23 @@ func TestGangSignatureCanonicalization(t *testing.T) {
 			KindCPU, []WaveJob{j("lstm", 1, 0, 1)}, false},
 	}
 	for _, tc := range cases {
-		a := GangSignature(tc.kindA, tc.jobsA)
-		b := GangSignature(tc.kindB, tc.jobsB)
-		if (a == b) != tc.equal {
-			t.Errorf("%s: signatures %q vs %q, want equal=%v", tc.name, a, b, tc.equal)
+		a := appendFingerprint(nil, tc.kindA, tc.jobsA)
+		b := appendFingerprint(nil, tc.kindB, tc.jobsB)
+		if bytes.Equal(a, b) != tc.equal {
+			t.Errorf("%s: fingerprints %q vs %q, want equal=%v", tc.name, a, b, tc.equal)
 		}
-		if !strings.HasPrefix(a, tc.kindA+"::") {
-			t.Errorf("%s: signature %q not prefixed by kind %q", tc.name, a, tc.kindA)
+		m := &waveMemo{}
+		sims := 0
+		sim := func() (*WaveResult, error) { sims++; return &WaveResult{TotalNs: float64(sims)}, nil }
+		ra, _ := m.do(tc.kindA, tc.jobsA, sim)
+		rb, _ := m.do(tc.kindB, tc.jobsB, sim)
+		wantSims := 2
+		if tc.equal {
+			wantSims = 1
 		}
-	}
-}
-
-// TestGangKeysFingerprintOrder: gangKeys' canonical signature matches
-// GangSignature while the fingerprint preserves input order — equal for
-// sorted input, distinct across orderings of the same multiset.
-func TestGangKeysFingerprintOrder(t *testing.T) {
-	a := WaveJob{Model: "dcgan", StepsLeft: 1}
-	b := WaveJob{Model: "lstm", StepsLeft: 1}
-	sigAB, fpAB := gangKeys(KindCPU, []WaveJob{a, b})
-	sigBA, fpBA := gangKeys(KindCPU, []WaveJob{b, a})
-	if sigAB != sigBA {
-		t.Errorf("canonical signatures differ across orderings: %q vs %q", sigAB, sigBA)
-	}
-	if sigAB != GangSignature(KindCPU, []WaveJob{a, b}) {
-		t.Errorf("gangKeys signature %q != GangSignature %q", sigAB, GangSignature(KindCPU, []WaveJob{a, b}))
-	}
-	if fpAB == fpBA {
-		t.Errorf("fingerprints collide across orderings: %q", fpAB)
-	}
-	if fpAB != sigAB {
-		t.Errorf("sorted input fingerprint %q != canonical signature %q", fpAB, sigAB)
+		if sims != wantSims || (ra == rb) != tc.equal {
+			t.Errorf("%s: %d simulations (shared result %v), want %d", tc.name, sims, ra == rb, wantSims)
+		}
 	}
 }
 
@@ -190,72 +186,90 @@ func TestWaveMemoHitEquivalence(t *testing.T) {
 	}
 }
 
-// TestWaveMemoSingleFlight: under heavy concurrent misses — many goroutines
-// hammering the same and distinct fingerprints — exactly one simulation
-// runs per distinct fingerprint, everyone shares the same result pointer,
-// and the counters add up. Run with -race this is the cache's stress gate.
-func TestWaveMemoSingleFlight(t *testing.T) {
+// TestWaveMemoOnePerFingerprint: requests cycling over many distinct
+// fingerprints — two orderings each of several compositions — run exactly
+// one simulation per fingerprint, every later request returns that
+// simulation's result pointer, and the counters add up.
+func TestWaveMemoOnePerFingerprint(t *testing.T) {
 	m := &waveMemo{}
 	const (
-		goroutines = 32
-		sigs       = 8
-		variants   = 2 // orderings per canonical signature
+		rounds   = 32
+		comps    = 8
+		variants = 2 // orderings per composition
 	)
-	var sims atomic.Int64
-	start := make(chan struct{})
-	results := make([][]*WaveResult, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results[g] = make([]*WaveResult, sigs*variants)
-			<-start
-			for s := 0; s < sigs; s++ {
-				for v := 0; v < variants; v++ {
-					sig := fmt.Sprintf("gpu::sig%d", s)
-					fp := fmt.Sprintf("gpu::sig%d/ord%d", s, v)
-					res, err := m.do(sig, fp, func() (*WaveResult, error) {
-						sims.Add(1)
-						return &WaveResult{TotalNs: float64(s*10 + v)}, nil
-					})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					results[g][s*variants+v] = res
+	wave := func(c, v int) []WaveJob {
+		a := WaveJob{Model: fmt.Sprintf("m%d", c), StepsLeft: 1}
+		b := WaveJob{Model: "lstm", StepsLeft: 1, Priority: c}
+		if v == 0 {
+			return []WaveJob{a, b}
+		}
+		return []WaveJob{b, a}
+	}
+	sims := 0
+	first := make([]*WaveResult, comps*variants)
+	for r := 0; r < rounds; r++ {
+		for c := 0; c < comps; c++ {
+			for v := 0; v < variants; v++ {
+				res, err := m.do(KindGPU, wave(c, v), func() (*WaveResult, error) {
+					sims++
+					return &WaveResult{TotalNs: float64(c*10 + v)}, nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	if got, want := sims.Load(), int64(sigs*variants); got != want {
-		t.Fatalf("single-flight broke: %d simulations for %d distinct fingerprints", got, want)
-	}
-	for g := 1; g < goroutines; g++ {
-		for i, res := range results[g] {
-			if res != results[0][i] {
-				t.Fatalf("goroutine %d fingerprint %d got a different result pointer", g, i)
+				i := c*variants + v
+				if r == 0 {
+					first[i] = res
+				} else if res != first[i] {
+					t.Fatalf("round %d fingerprint %d got a different result pointer", r, i)
+				}
+				if res.TotalNs != float64(c*10+v) {
+					t.Fatalf("fingerprint %d returned another wave's result %v", i, res.TotalNs)
+				}
 			}
 		}
 	}
+	if want := comps * variants; sims != want {
+		t.Fatalf("%d simulations for %d distinct fingerprints", sims, want)
+	}
 	hits, misses := m.stats()
-	if misses != sigs*variants || hits+misses != goroutines*sigs*variants {
+	if misses != comps*variants || hits+misses != rounds*comps*variants {
 		t.Fatalf("counters: hits=%d misses=%d, want misses=%d and hits+misses=%d",
-			hits, misses, sigs*variants, goroutines*sigs*variants)
+			hits, misses, comps*variants, rounds*comps*variants)
 	}
 }
 
-// TestWaveMemoErrorNotCached: a failed simulation propagates to its waiters
-// but is never published — the next caller re-simulates and can succeed.
+// TestWaveMemoHitAllocs: a hit builds its key in the memo's reused buffer
+// and looks it up without converting it to a string, so it allocates
+// nothing.
+func TestWaveMemoHitAllocs(t *testing.T) {
+	m := &waveMemo{}
+	jobs := []WaveJob{{Model: nn.LSTM, StepsLeft: 3, Weight: 2}, {Model: InferKey(nn.DCGAN, 4), Priority: 7}}
+	want := &WaveResult{TotalNs: 1}
+	sim := func() (*WaveResult, error) { return want, nil }
+	if _, err := m.do(KindCPU, jobs, sim); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if res, _ := m.do(KindCPU, jobs, sim); res != want {
+			t.Fatal("hit returned another result")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("memo hit allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestWaveMemoErrorNotCached: a failed simulation propagates its error but
+// is never stored — the next request re-simulates and can succeed.
 func TestWaveMemoErrorNotCached(t *testing.T) {
 	m := &waveMemo{}
+	jobs := []WaveJob{{Model: "x", StepsLeft: 1}}
 	boom := fmt.Errorf("transient")
-	if _, err := m.do("cpu::x", "cpu::x", func() (*WaveResult, error) { return nil, boom }); err != boom {
+	if _, err := m.do(KindCPU, jobs, func() (*WaveResult, error) { return nil, boom }); err != boom {
 		t.Fatalf("want the simulation error, got %v", err)
 	}
-	res, err := m.do("cpu::x", "cpu::x", func() (*WaveResult, error) { return &WaveResult{TotalNs: 1}, nil })
+	res, err := m.do(KindCPU, jobs, func() (*WaveResult, error) { return &WaveResult{TotalNs: 1}, nil })
 	if err != nil || res.TotalNs != 1 {
 		t.Fatalf("retry after failure: res=%v err=%v", res, err)
 	}

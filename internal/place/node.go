@@ -2,8 +2,6 @@ package place
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"opsched/internal/core"
 	"opsched/internal/gpu"
@@ -67,12 +65,12 @@ type WaveJob struct {
 	Weight   float64
 	// StepsLeft is the job's remaining step count when the round is
 	// priced. The wave simulators price one lockstep round and do not
-	// read it, but it feeds the gang signature's steps bucket so a
+	// read it, but it feeds the wave fingerprint's steps bucket so a
 	// step-count-aware runtime could be memoized without changing keys.
 	StepsLeft int
 	// Class is the job's workload class (ClassTraining when empty). An
 	// inference slot's Model is already an InferKey, so the class never
-	// needs its own slot in the gang signature — it is derivable from the
+	// needs its own slot in the wave fingerprint — it is derivable from the
 	// model key — but carrying it explicitly lets the CPU runtime weight
 	// latency-class slots without string inspection.
 	Class string
@@ -129,42 +127,25 @@ type NodeRuntime interface {
 	RunWave(jobs []WaveJob) (*WaveResult, error)
 }
 
-// workCache is a concurrent read-mostly map from model key to a cached
-// per-model prediction: lock-free copy-on-write reads on the placement hot
-// path, a mutex only on the rare insert.
-// The model-key universe is tiny — the four workloads plus a handful of
-// dynamic-batch inference keys — so cloning on insert costs nothing.
+// workCache maps a model key to a cached per-model prediction. The
+// engine driving a runtime is single-threaded, so it is a plain map,
+// filled on first use; the model-key universe is tiny — the four
+// workloads plus a handful of dynamic-batch inference keys.
 type workCache[V any] struct {
-	m  atomic.Pointer[map[string]V]
-	mu sync.Mutex
+	m map[string]V
 }
 
-// get returns the cached value for key, computing and publishing it under
-// the write lock on first use. Concurrent first uses may compute twice;
-// predictions are deterministic, so either result is the same value.
+// get returns the cached value for key, computing and storing it on first
+// use.
 func (c *workCache[V]) get(key string, compute func() V) V {
-	if m := c.m.Load(); m != nil {
-		if v, ok := (*m)[key]; ok {
-			return v
-		}
+	if v, ok := c.m[key]; ok {
+		return v
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.m.Load()
-	if old != nil {
-		if v, ok := (*old)[key]; ok {
-			return v
-		}
+	if c.m == nil {
+		c.m = make(map[string]V)
 	}
 	v := compute()
-	next := make(map[string]V, 8)
-	if old != nil {
-		for k, ov := range *old {
-			next[k] = ov
-		}
-	}
-	next[key] = v
-	c.m.Store(&next)
+	c.m[key] = v
 	return v
 }
 
@@ -178,7 +159,11 @@ type cpuRuntime struct {
 	cfg      core.Config
 	graphFor func(string) *graph.Graph
 	work     workCache[float64]
-	memo     *waveMemo // gang-signature RunWave cache; nil when disabled
+	// jobs holds one prepared multijob.Job per work key: the model's
+	// profiled runtime and its solo baseline on m, built by the first
+	// wave miss that needs it. Every wave job of that model copies it.
+	jobs map[string]multijob.Job
+	memo *waveMemo // ordered-fingerprint RunWave cache; nil when disabled
 }
 
 // cpuMeshAlpha mirrors the exec engine's pinned mesh-interference
@@ -206,7 +191,7 @@ func (c *cpuRuntime) SoloWorkNs(model string) float64 {
 	})
 }
 
-// WaveMemoStats reports the runtime's gang-signature cache counters.
+// WaveMemoStats reports the runtime's wave-memo counters.
 func (c *cpuRuntime) WaveMemoStats() (hits, misses int) {
 	if c.memo == nil {
 		return 0, 0
@@ -216,22 +201,40 @@ func (c *cpuRuntime) WaveMemoStats() (hits, misses int) {
 
 func (c *cpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 	if c.memo != nil {
-		sig, fp := gangKeys(KindCPU, jobs)
-		return c.memo.do(sig, fp, func() (*WaveResult, error) { return c.simulate(jobs) })
+		return c.memo.do(KindCPU, jobs, func() (*WaveResult, error) { return c.simulate(jobs) })
 	}
 	return c.simulate(jobs)
 }
 
-// simulate prices one wave fresh through the multi-job co-scheduling
-// engine. It reads only the runtime's concurrent caches and per-call
-// state, so the memo may run it from any goroutine.
+// prepared returns the work key's prepared job, building it with
+// multijob.RuntimeJob on first use. A failed build is not cached.
+func (c *cpuRuntime) prepared(model string) (multijob.Job, error) {
+	if job, ok := c.jobs[model]; ok {
+		return job, nil
+	}
+	job, err := multijob.RuntimeJob(model, c.graphFor(model), c.m, c.cfg)
+	if err != nil {
+		return multijob.Job{}, err
+	}
+	if c.jobs == nil {
+		c.jobs = make(map[string]multijob.Job)
+	}
+	c.jobs[model] = job
+	return job, nil
+}
+
+// simulate prices one wave through the multi-job co-scheduling engine.
+// Each job is a copy of its model's prepared job with the wave's name,
+// priority and weight, so CoTrain reuses the stored solo baseline and the
+// runtime's candidate memo and a miss costs the co-run alone.
 func (c *cpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 	mj := make([]multijob.Job, len(jobs))
 	for i, wj := range jobs {
-		job, err := multijob.RuntimeJob(wj.Name, c.graphFor(wj.Model), c.m, c.cfg)
+		job, err := c.prepared(wj.Model)
 		if err != nil {
 			return nil, fmt.Errorf("place: job %s: %w", wj.Name, err)
 		}
+		job.Name = wj.Name
 		job.Priority = wj.Priority
 		job.Weight = wj.Weight
 		if wj.Class == ClassInference {
@@ -262,7 +265,7 @@ type gpuRuntime struct {
 	d        *gpu.Device
 	graphFor func(string) *graph.Graph
 	work     workCache[gpu.GraphWork]
-	memo     *waveMemo // gang-signature RunWave cache; nil when disabled
+	memo     *waveMemo // ordered-fingerprint RunWave cache; nil when disabled
 }
 
 func (g *gpuRuntime) Kind() string              { return KindGPU }
@@ -283,7 +286,7 @@ func (g *gpuRuntime) graphWork(model string) gpu.GraphWork {
 
 func (g *gpuRuntime) SoloWorkNs(model string) float64 { return g.graphWork(model).SoloNs }
 
-// WaveMemoStats reports the runtime's gang-signature cache counters.
+// WaveMemoStats reports the runtime's wave-memo counters.
 func (g *gpuRuntime) WaveMemoStats() (hits, misses int) {
 	if g.memo == nil {
 		return 0, 0
@@ -293,15 +296,13 @@ func (g *gpuRuntime) WaveMemoStats() (hits, misses int) {
 
 func (g *gpuRuntime) RunWave(jobs []WaveJob) (*WaveResult, error) {
 	if g.memo != nil {
-		sig, fp := gangKeys(KindGPU, jobs)
-		return g.memo.do(sig, fp, func() (*WaveResult, error) { return g.simulate(jobs) })
+		return g.memo.do(KindGPU, jobs, func() (*WaveResult, error) { return g.simulate(jobs) })
 	}
 	return g.simulate(jobs)
 }
 
-// simulate prices one wave fresh through the occupancy/stream co-run
-// model. Like the CPU side it touches only concurrent caches, so the memo
-// may run it from any goroutine.
+// simulate prices one wave through the occupancy/stream co-run model,
+// each job's graph work read from the runtime's per-model work cache.
 func (g *gpuRuntime) simulate(jobs []WaveJob) (*WaveResult, error) {
 	works := make([]gpu.GraphWork, len(jobs))
 	for i, wj := range jobs {

@@ -41,6 +41,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"opsched/internal/cluster"
 	"opsched/internal/core"
@@ -108,7 +109,7 @@ func (j JobSpec) Inference() bool { return j.Class == ClassInference }
 
 // inferKeySep splits an inference work key "model/infer@batch": the string
 // the engine prices inference work under, so every model-keyed cache — the
-// per-runtime work caches, the staging-transfer cache, the gang signatures —
+// per-runtime work caches, the staging-transfer cache, the wave memo keys —
 // distinguishes serving graphs (and their dynamic batch sizes) from the
 // training graph of the same model without learning a second key scheme.
 const inferKeySep = "/infer@"
@@ -394,7 +395,7 @@ type Options struct {
 	// gates enforce.
 	Obs *obs.Observer
 
-	// noWaveMemo disables the fleet-wide gang-signature RunWave cache.
+	// noWaveMemo disables the fleet-wide RunWave memo.
 	// Memoized and unmemoized runs are byte-identical — the cache only
 	// skips re-simulating a wave composition already priced — so only
 	// the equivalence tests set it.
@@ -716,33 +717,28 @@ func (r *Result) QueuePercentileNs(p float64) float64 {
 // like a run-to-completion one.
 func (r *Result) Render() string {
 	nameW, modelW := len("job"), len("model")
+	nodeW := max(len("node"), intWidth(r.Nodes-1))
+	waveW, pathW := len("wave"), len("path")
 	for _, p := range r.Jobs {
-		if len(p.Name) > nameW {
-			nameW = len(p.Name)
-		}
-		if len(p.Model) > modelW {
-			modelW = len(p.Model)
-		}
-	}
-	nodeW := len("node")
-	if w := len(fmt.Sprintf("%d", r.Nodes-1)); w > nodeW {
-		nodeW = w
-	}
-	waveW := len("wave")
-	for _, p := range r.Jobs {
-		if w := len(fmt.Sprintf("%d", p.Wave)); w > waveW {
-			waveW = w
-		}
+		nameW = max(nameW, len(p.Name))
+		modelW = max(modelW, len(p.Model))
+		waveW = max(waveW, intWidth(p.Wave))
+		pathW = max(pathW, len(p.Path))
 	}
 	preempted := r.Preemptions > 0
 	serving := r.InferenceJobs > 0
-	pathW := len("path")
-	for _, p := range r.Jobs {
-		if len(p.Path) > pathW {
-			pathW = len(p.Path)
-		}
+	// A job row is its fixed columns plus the variable-width ones; the
+	// builder is sized for every row and node line up front, so the job
+	// loop appends each row into one reused buffer and copies it once.
+	rowW := 2 + nameW + 2 + modelW + 2 + nodeW + 2 + 3 + 2 + waveW + 4*12 + 10 + 10 + 1
+	if serving {
+		rowW += 2 + 5 + 2 + 5 + 2 + 4
+	}
+	if preempted {
+		rowW += 2 + 3 + 2 + pathW
 	}
 	var b strings.Builder
+	b.Grow(512 + len(r.Jobs)*rowW + len(r.NodeStats)*96)
 	fmt.Fprintf(&b, "placement: %d jobs over %d nodes, policy=%s, arbiter=%s, fleet=%s\n",
 		len(r.Jobs), r.Nodes, r.Policy, r.Arbiter, r.Fleet)
 	fmt.Fprintf(&b, "  %-*s  %-*s  %*s  %-3s  %*s  %10s  %10s  %10s  %10s  %8s  %8s",
@@ -755,6 +751,7 @@ func (r *Result) Render() string {
 		fmt.Fprintf(&b, "  %3s  %-*s", "pre", pathW, "path")
 	}
 	b.WriteString("\n")
+	row := make([]byte, 0, rowW)
 	for _, p := range r.Jobs {
 		deadline := "-"
 		if p.DeadlineNs > 0 {
@@ -764,9 +761,24 @@ func (r *Result) Render() string {
 				deadline = "MISS"
 			}
 		}
-		fmt.Fprintf(&b, "  %-*s  %-*s  %*d  %-3s  %*d  %10.3f  %10.3f  %10.3f  %10.3f  %7.2fx  %8s",
-			nameW, p.Name, modelW, p.Model, nodeW, p.Node, p.Kind, waveW, p.Wave,
-			p.ArrivalNs/1e6, p.QueueNs/1e6, p.CoRunNs/1e6, p.JCTNs()/1e6, p.Slowdown, deadline)
+		row = append(row[:0], "  "...)
+		row = appendLeft(row, p.Name, nameW)
+		row = append(row, "  "...)
+		row = appendLeft(row, p.Model, modelW)
+		row = append(row, "  "...)
+		row = alignRight(strconv.AppendInt(row, int64(p.Node), 10), len(row), nodeW)
+		row = append(row, "  "...)
+		row = appendLeft(row, p.Kind, 3)
+		row = append(row, "  "...)
+		row = alignRight(strconv.AppendInt(row, int64(p.Wave), 10), len(row), waveW)
+		for _, v := range [4]float64{p.ArrivalNs, p.QueueNs, p.CoRunNs, p.JCTNs()} {
+			row = append(row, "  "...)
+			row = alignRight(appendFixed(row, v/1e6, 3), len(row), 10)
+		}
+		row = append(row, "  "...)
+		row = alignRight(appendFixed(row, p.Slowdown, 2), len(row), 7)
+		row = append(row, "x  "...)
+		row = appendRight(row, deadline, 8)
 		if serving {
 			class, batch, slo := "train", "-", "-"
 			if p.Class == ClassInference {
@@ -780,21 +792,42 @@ func (r *Result) Render() string {
 					}
 				}
 			}
-			fmt.Fprintf(&b, "  %-5s  %5s  %4s", class, batch, slo)
+			row = append(row, "  "...)
+			row = appendLeft(row, class, 5)
+			row = append(row, "  "...)
+			row = appendRight(row, batch, 5)
+			row = append(row, "  "...)
+			row = appendRight(row, slo, 4)
 		}
 		if preempted {
 			path := p.Path
 			if path == "" {
 				path = "-"
 			}
-			fmt.Fprintf(&b, "  %3d  %-*s", p.Preemptions, pathW, path)
+			row = append(row, "  "...)
+			row = alignRight(strconv.AppendInt(row, int64(p.Preemptions), 10), len(row), 3)
+			row = append(row, "  "...)
+			row = appendLeft(row, path, pathW)
 		}
-		b.WriteString("\n")
+		row = append(row, '\n')
+		b.Write(row)
 	}
-	idxW := len(fmt.Sprintf("%d", r.Nodes-1))
+	idxW := intWidth(r.Nodes - 1)
 	for _, ns := range r.NodeStats {
-		fmt.Fprintf(&b, "  node %*d [%s]: %d jobs in %d waves, busy %.3f ms, util %.2f\n",
-			idxW, ns.Node, ns.Kind, ns.Jobs, ns.Waves, ns.BusyNs/1e6, ns.Utilization)
+		row = append(row[:0], "  node "...)
+		row = alignRight(strconv.AppendInt(row, int64(ns.Node), 10), len(row), idxW)
+		row = append(row, " ["...)
+		row = append(row, ns.Kind...)
+		row = append(row, "]: "...)
+		row = strconv.AppendInt(row, int64(ns.Jobs), 10)
+		row = append(row, " jobs in "...)
+		row = strconv.AppendInt(row, int64(ns.Waves), 10)
+		row = append(row, " waves, busy "...)
+		row = appendFixed(row, ns.BusyNs/1e6, 3)
+		row = append(row, " ms, util "...)
+		row = appendFixed(row, ns.Utilization, 2)
+		row = append(row, '\n')
+		b.Write(row)
 	}
 	fmt.Fprintf(&b, "makespan %.3f ms, mean jct %.3f ms, mean queue %.3f ms, fairness %.3f (Jain, solo-normalized)",
 		r.MakespanNs/1e6, r.MeanJCTNs/1e6, r.MeanQueueNs/1e6, r.FairnessIndex)
@@ -812,4 +845,109 @@ func (r *Result) Render() string {
 	}
 	b.WriteString("\n")
 	return b.String()
+}
+
+// Render's column helpers lay text out the way fmt's width verbs do —
+// padding counts runes, and a value wider than its field is never cut —
+// without fmt's reflection or its exact-but-slow fixed-point path.
+
+// intWidth is the printed width of n in decimal.
+func intWidth(n int) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], int64(n), 10))
+}
+
+// appendSpaces appends n spaces (none when n <= 0).
+func appendSpaces(dst []byte, n int) []byte {
+	for ; n > 0; n-- {
+		dst = append(dst, ' ')
+	}
+	return dst
+}
+
+// appendLeft appends s left-aligned in a field of width w, like %-*s.
+func appendLeft(dst []byte, s string, w int) []byte {
+	dst = append(dst, s...)
+	return appendSpaces(dst, w-utf8.RuneCountInString(s))
+}
+
+// appendRight appends s right-aligned in a field of width w, like %*s.
+func appendRight(dst []byte, s string, w int) []byte {
+	dst = appendSpaces(dst, w-utf8.RuneCountInString(s))
+	return append(dst, s...)
+}
+
+// alignRight right-aligns the ASCII text appended to dst since start in a
+// field of width w, like %*d or %*.*f on the value that text formats.
+func alignRight(dst []byte, start, w int) []byte {
+	n := len(dst) - start
+	if n >= w {
+		return dst
+	}
+	pad := w - n
+	dst = appendSpaces(dst, pad)
+	copy(dst[start+pad:], dst[start:start+n])
+	for i := start; i < start+pad; i++ {
+		dst[i] = ' '
+	}
+	return dst
+}
+
+// pow10 holds the exactly representable powers of ten 10^0 .. 10^15.
+var pow10 = [16]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// appendFixed appends v with prec digits after the point, byte for byte
+// what strconv.AppendFloat(dst, v, 'f', prec, 64) — and fmt's %.*f —
+// produce. strconv's 'f' with a precision always takes its arbitrary-
+// precision path; for 1 <= |v| < 1e15, v has dp integer digits, so the
+// same correctly rounded digits come from 'e' with dp+prec significant
+// digits, which strconv computes with Ryu when that is at most 18. If the
+// rounding carries to 10^dp, the 'e' exponent reads dp instead of dp-1
+// and every digit is a one followed by zeros. Anything else — |v| < 1,
+// |v| >= 1e15, NaN and ±Inf — takes strconv's 'f' directly.
+func appendFixed(dst []byte, v float64, prec int) []byte {
+	a := math.Abs(v)
+	if !(a >= 1 && a < 1e15) {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	if v < 0 {
+		dst = append(dst, '-')
+	}
+	dp := 1
+	for a >= pow10[dp] {
+		dp++
+	}
+	var buf [32]byte
+	e := strconv.AppendFloat(buf[:0], a, 'e', dp+prec-1, 64)
+	// e is "d.ddde+XX" (or "de+XX" for a single digit): the leading digit,
+	// the rest after the point, then the exponent, always non-negative.
+	ei := len(e) - 4
+	for e[ei] != 'e' {
+		ei--
+	}
+	exp := 0
+	for _, c := range e[ei+2:] {
+		exp = exp*10 + int(c-'0')
+	}
+	if exp == dp {
+		dst = append(dst, '1')
+		for i := 0; i < dp; i++ {
+			dst = append(dst, '0')
+		}
+		if prec > 0 {
+			dst = append(dst, '.')
+			for i := 0; i < prec; i++ {
+				dst = append(dst, '0')
+			}
+		}
+		return dst
+	}
+	dst = append(dst, e[0])
+	frac := e[min(2, ei):ei] // the digits after the leading one
+	dst = append(dst, frac[:dp-1]...)
+	if prec > 0 {
+		dst = append(dst, '.')
+		dst = append(dst, frac[dp-1:]...)
+	}
+	return dst
 }
