@@ -33,31 +33,55 @@ func TestStepsBucket(t *testing.T) {
 	}
 }
 
-// TestWaveFingerprint is the memo-key table: the ordered fingerprint
-// separates hardware kinds and job orderings, normalizes weights the way
-// the wave simulators read them, ignores job names, buckets steps, and
-// distinguishes everything that prices differently. Every row is checked
-// twice — on the fingerprint bytes, and as memo entries (equal rows share
-// one simulation, distinct rows simulate fresh).
-func TestWaveFingerprint(t *testing.T) {
-	j := func(model string, steps, prio int, weight float64) WaveJob {
-		return WaveJob{Model: model, StepsLeft: steps, Priority: prio, Weight: weight}
+// fingerprintRow is one row of the memo-key tables: two RunWave inputs and
+// whether they must share a memo entry.
+type fingerprintRow struct {
+	name  string
+	kindA string
+	jobsA []WaveJob
+	kindB string
+	jobsB []WaveJob
+	equal bool
+}
+
+func fpJob(model string, steps, prio int, weight float64) WaveJob {
+	return WaveJob{Model: model, StepsLeft: steps, Priority: prio, Weight: weight}
+}
+
+// checkFingerprintRows checks every row twice — on the fingerprint bytes,
+// and as memo entries (equal rows share one simulation, distinct rows
+// simulate fresh).
+func checkFingerprintRows(t *testing.T, cases []fingerprintRow) {
+	t.Helper()
+	for _, tc := range cases {
+		a := appendFingerprint(nil, tc.kindA, tc.jobsA)
+		b := appendFingerprint(nil, tc.kindB, tc.jobsB)
+		if bytes.Equal(a, b) != tc.equal {
+			t.Errorf("%s: fingerprints %q vs %q, want equal=%v", tc.name, a, b, tc.equal)
+		}
+		m := &waveMemo{}
+		sims := 0
+		sim := func() (*WaveResult, error) { sims++; return &WaveResult{TotalNs: float64(sims)}, nil }
+		ra, _ := m.do(tc.kindA, tc.jobsA, sim)
+		rb, _ := m.do(tc.kindB, tc.jobsB, sim)
+		wantSims := 2
+		if tc.equal {
+			wantSims = 1
+		}
+		if sims != wantSims || (ra == rb) != tc.equal {
+			t.Errorf("%s: %d simulations (shared result %v), want %d", tc.name, sims, ra == rb, wantSims)
+		}
 	}
+}
+
+// TestGangSignatureCanonicalization is the memo-key table: a gang's key (its
+// ordered fingerprint) separates hardware kinds, normalizes weights the way
+// the wave simulators read them, ignores job names, buckets steps, and
+// distinguishes everything that prices differently.
+func TestGangSignatureCanonicalization(t *testing.T) {
+	j := fpJob
 	base := []WaveJob{j("lstm", 1, 0, 1), j("dcgan", 3, 5, 2), j("lstm", 2, 0, 1)}
-	cases := []struct {
-		name  string
-		kindA string
-		jobsA []WaveJob
-		kindB string
-		jobsB []WaveJob
-		equal bool
-	}{
-		{"same ordering", KindCPU, base,
-			KindCPU, []WaveJob{base[0], base[1], base[2]}, true},
-		{"permutation", KindCPU, base,
-			KindCPU, []WaveJob{base[2], base[0], base[1]}, false},
-		{"reverse", KindCPU, base,
-			KindCPU, []WaveJob{base[2], base[1], base[0]}, false},
+	checkFingerprintRows(t, []fingerprintRow{
 		{"names ignored", KindCPU, []WaveJob{{Name: "a", Model: "lstm", StepsLeft: 1}},
 			KindCPU, []WaveJob{{Name: "z", Model: "lstm", StepsLeft: 1}}, true},
 		{"cpu vs gpu", KindCPU, base, KindGPU, base, false},
@@ -83,26 +107,25 @@ func TestWaveFingerprint(t *testing.T) {
 			KindCPU, []WaveJob{j("lstm", 5, 0, 1)}, false},
 		{"multiset not set", KindCPU, []WaveJob{j("lstm", 1, 0, 1), j("lstm", 1, 0, 1)},
 			KindCPU, []WaveJob{j("lstm", 1, 0, 1)}, false},
-	}
-	for _, tc := range cases {
-		a := appendFingerprint(nil, tc.kindA, tc.jobsA)
-		b := appendFingerprint(nil, tc.kindB, tc.jobsB)
-		if bytes.Equal(a, b) != tc.equal {
-			t.Errorf("%s: fingerprints %q vs %q, want equal=%v", tc.name, a, b, tc.equal)
-		}
-		m := &waveMemo{}
-		sims := 0
-		sim := func() (*WaveResult, error) { sims++; return &WaveResult{TotalNs: float64(sims)}, nil }
-		ra, _ := m.do(tc.kindA, tc.jobsA, sim)
-		rb, _ := m.do(tc.kindB, tc.jobsB, sim)
-		wantSims := 2
-		if tc.equal {
-			wantSims = 1
-		}
-		if sims != wantSims || (ra == rb) != tc.equal {
-			t.Errorf("%s: %d simulations (shared result %v), want %d", tc.name, sims, ra == rb, wantSims)
-		}
-	}
+	})
+}
+
+// TestGangKeysFingerprintOrder: the key keeps the input order, because the
+// arbiters break ties on job index — one ordering recurs onto one memo entry,
+// while every other ordering of the same multiset simulates fresh.
+func TestGangKeysFingerprintOrder(t *testing.T) {
+	j := fpJob
+	base := []WaveJob{j("lstm", 1, 0, 1), j("dcgan", 3, 5, 2), j("lstm", 2, 0, 1)}
+	checkFingerprintRows(t, []fingerprintRow{
+		{"same ordering", KindCPU, base,
+			KindCPU, []WaveJob{base[0], base[1], base[2]}, true},
+		{"permutation", KindCPU, base,
+			KindCPU, []WaveJob{base[2], base[0], base[1]}, false},
+		{"reverse", KindCPU, base,
+			KindCPU, []WaveJob{base[2], base[1], base[0]}, false},
+		{"swapped pair", KindCPU, []WaveJob{j("dcgan", 1, 0, 1), j("lstm", 1, 0, 1)},
+			KindCPU, []WaveJob{j("lstm", 1, 0, 1), j("dcgan", 1, 0, 1)}, false},
+	})
 }
 
 // memoTestRuntimes builds one memoized and one memo-free runtime pair (CPU
